@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import RAW_MULTISET, SIMPLE, Graph, build_graph
+from .graph import RAW_MULTISET, SIMPLE, Graph, build_graph, sorted_unique
 
 MULTIGRAPH = "MULTIGRAPH"
 ERASE = "ERASE"
@@ -270,7 +270,7 @@ def _is_simple_matching(a: np.ndarray, b: np.ndarray, n: int) -> bool:
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     keys = lo * np.int64(n) + hi
-    return len(np.unique(keys)) == len(keys)
+    return len(sorted_unique(keys)) == len(keys)
 
 
 def generate(

@@ -62,9 +62,11 @@ class Graph:
         every retained input pair, including parallel edges and self-loops.
     indptr, indices : np.ndarray
         CSR adjacency: neighbours of node i are
-        ``indices[indptr[i]:indptr[i+1]]``.  Both endpoints of every edge
-        are stored, and a self-loop appears twice in its node's row, so
-        ``len(indices) == 2 * edge_count`` and row lengths equal degrees.
+        ``indices[indptr[i]:indptr[i+1]]``, in ascending order.  Both
+        endpoints of every edge are stored, and a self-loop appears twice
+        in its node's row, so ``len(indices) == 2 * edge_count`` and row
+        lengths equal degrees.  Construction sorts packed ``i*n + j`` int64
+        keys, which needs ``n**2 < 2**63`` (n below about 3.04e9).
     degrees : np.ndarray
         Degree of each node (row length in the CSR arrays).
     node_labels : np.ndarray
@@ -125,30 +127,57 @@ class DegreeStats:
 
 
 def _first_appearance_ids(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map arbitrary integer labels to 0..n-1 in order of first appearance.
+    """Map 1-D integer labels to 0..n-1 in order of first appearance.
 
-    Returns ``(ids, ordered_labels)`` where ``ids`` has the shape of
-    ``labels`` and ``ordered_labels[k]`` is the original label of internal
-    index k.
+    Returns ``(ids, ordered_labels)`` where ``ids[i]`` is the internal index
+    of ``labels[i]`` and ``ordered_labels[k]`` is the original label of
+    internal index k.  One sort groups equal labels; each group's smallest
+    original position is its first appearance, so the sort need not be
+    stable.
     """
-    uniq, first_pos, inverse = np.unique(
-        labels, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_pos, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq), dtype=np.int64)
-    return rank[inverse].reshape(labels.shape), uniq[order]
+    order = np.argsort(labels)
+    starts = _group_starts(labels[order])
+    first_pos = np.minimum.reduceat(order, np.flatnonzero(starts))
+    is_first = np.zeros(len(labels), dtype=bool)
+    is_first[first_pos] = True
+    rank = (np.cumsum(is_first) - 1)[first_pos]
+    ids = np.empty(len(labels), dtype=np.int64)
+    ids[order] = rank[np.cumsum(starts) - 1]
+    return ids, labels[is_first]
+
+
+def _group_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a sorted array's value differs from the one
+    before it; the first position is always set."""
+    starts = np.empty(len(sorted_values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
+    return starts
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Distinct values of an integer array in ascending order.
+
+    Sorts and drops each value equal to its predecessor; on int64 keys this
+    is many times faster than the hash-based ``np.unique`` of numpy 2.
+    """
+    keys = np.sort(keys)
+    return keys[_group_starts(keys)]
 
 
 def _csr_from_pairs(
     src: np.ndarray, dst: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build (indptr, indices, degrees) from directed entry pairs."""
-    perm = np.argsort(src, kind="stable")
-    indices = dst[perm]
+    """Build (indptr, indices, degrees) from directed entry pairs.
+
+    Sorting the packed keys ``src*n + dst`` orders the entries by row and
+    each row's neighbours ascending.
+    """
+    key = src * np.int64(n) + dst
+    key.sort()
     degrees = np.bincount(src, minlength=n).astype(np.int64)
     indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
-    return indptr, indices, degrees
+    return indptr, key % n, degrees
 
 
 def build_graph(
@@ -204,7 +233,7 @@ def build_graph(
         keep = ids[:, 0] != ids[:, 1]
         lo = np.minimum(ids[keep, 0], ids[keep, 1])
         hi = np.maximum(ids[keep, 0], ids[keep, 1])
-        key = np.unique(lo * np.int64(n) + hi)
+        key = sorted_unique(lo * np.int64(n) + hi)
         a, b = key // n, key % n
         m = int(len(key))
 
@@ -262,12 +291,26 @@ def parse_edge_lines(lines: Iterable[str], path: str = "<memory>") -> np.ndarray
     return _parse_lines_strict(lines, path)
 
 
+def _open_text(path: Path):
+    """Open an edge file as text, decompressing ``.gz`` and ``.bz2`` like
+    ``np.loadtxt`` does, so the strict parser sees the same lines."""
+    if path.suffix == ".gz":
+        import gzip
+
+        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
+    if path.suffix == ".bz2":
+        import bz2
+
+        return bz2.open(path, "rt", encoding="utf-8", errors="replace")
+    return open(path, "r", encoding="utf-8", errors="replace")
+
+
 def load_edge_file(path: str | Path) -> np.ndarray:
     """Read an edge-list text file to an (k, 2) int64 array.
 
     Tries the fast numpy text reader first and falls back to the strict
     parser (which pins down the offending line) when the file does not
-    conform.
+    conform.  Files ending in ``.gz`` or ``.bz2`` are decompressed.
     """
     path = Path(path)
     try:
@@ -282,13 +325,13 @@ def load_edge_file(path: str | Path) -> np.ndarray:
     except OSError:
         raise
     except Exception:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        with _open_text(path) as fh:
             return _parse_lines_strict(fh, str(path))
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if arr.shape[1] != 2:
         # Uniformly wrong column count parses fine; re-scan for the message.
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        with _open_text(path) as fh:
             return _parse_lines_strict(fh, str(path))
     return arr
 
@@ -346,6 +389,24 @@ def degree_stats(g: Graph, density_convention: str = TABLE1) -> DegreeStats:
     )
 
 
+def _edge_endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Internal endpoints ``(a, b)`` with ``a <= b`` of every edge, once each."""
+    row = np.repeat(np.arange(g.node_count, dtype=np.int64), g.degrees)
+    col = g.indices
+    upper = col > row
+    # A self-loop occupies two slots in its row; keep it once.
+    loops = np.flatnonzero(col == row)[::2]
+    return (
+        np.concatenate([row[upper], row[loops]]),
+        np.concatenate([col[upper], col[loops]]),
+    )
+
+
+#: Edges formatted per batch by ``edge_dump_lines``; bounds the temporary
+#: Python ints alive at once.
+_DUMP_CHUNK = 4096
+
+
 def edge_dump_lines(g: Graph) -> list[str]:
     """Render the edge multiset as sorted text lines of original labels.
 
@@ -353,21 +414,23 @@ def edge_dump_lines(g: Graph) -> list[str]:
     greater than v's; the lines are sorted lexicographically, so two equal
     labelled graphs produce identical dumps.
     """
-    n = g.node_count
-    row = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    col = g.indices
-    upper = col > row
-    a = row[upper]
-    b = col[upper]
-    loops = np.flatnonzero(col == row)
-    if loops.size:
-        # A self-loop occupies two slots in its row; emit it once.
-        sel = loops[::2]
-        a = np.concatenate([a, row[sel]])
-        b = np.concatenate([b, col[sel]])
-    labels = g.node_labels
-    lines = [f"{labels[i]}\t{labels[j]}" for i, j in zip(a, b)]
-    lines.sort()
+    a, b = _edge_endpoints(g)
+    # The tab sorts below every character of an integer label, so the
+    # line order is the order of (str(u), str(v)): sort the edges by the
+    # string rank of each endpoint's label instead of sorting the lines.
+    n = np.int64(g.node_count)
+    by_text = np.argsort(g.node_labels.astype(str))
+    text_rank = np.empty(g.node_count, dtype=np.int64)
+    text_rank[by_text] = np.arange(g.node_count, dtype=np.int64)
+    key = text_rank[a] * n + text_rank[b]
+    key.sort()
+    labels = g.node_labels[by_text]
+    lines: list[str] = []
+    for lo in range(0, len(key), _DUMP_CHUNK):
+        part = key[lo : lo + _DUMP_CHUNK]
+        lines += map(
+            "{}\t{}".format, labels[part // n].tolist(), labels[part % n].tolist()
+        )
     return lines
 
 
@@ -390,20 +453,13 @@ def same_labelled_graph(g1: Graph, g2: Graph) -> bool:
         return False
     if not np.array_equal(np.sort(g1.node_labels), np.sort(g2.node_labels)):
         return False
-    return sorted(_labelled_edges(g1)) == sorted(_labelled_edges(g2))
+    return np.array_equal(_labelled_edges(g1), _labelled_edges(g2))
 
 
-def _labelled_edges(g: Graph) -> list[tuple[int, int]]:
-    n = g.node_count
-    row = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    col = g.indices
-    upper = col > row
-    pairs = [
-        (int(x), int(y))
-        for x, y in zip(g.node_labels[row[upper]], g.node_labels[col[upper]])
-    ]
-    loops = np.flatnonzero(col == row)[::2]
-    pairs += [
-        (int(x), int(x)) for x in g.node_labels[row[loops]]
-    ]
-    return [(min(u, v), max(u, v)) for u, v in pairs]
+def _labelled_edges(g: Graph) -> np.ndarray:
+    """Edges as sorted ``(min label, max label)`` rows of an (m, 2) array."""
+    a, b = _edge_endpoints(g)
+    u, v = g.node_labels[a], g.node_labels[b]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    return np.column_stack([lo[order], hi[order]])

@@ -1,4 +1,6 @@
+import bz2
 import csv
+import gzip
 import json
 from pathlib import Path
 
@@ -157,6 +159,15 @@ def test_malformed_input_reports_line(tmp_path, capsys):
     assert main(["stats", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert ":3:" in err
+
+
+@pytest.mark.parametrize("suffix, opener", [(".gz", gzip.open), (".bz2", bz2.open)])
+def test_malformed_compressed_input_reports_line(tmp_path, capsys, suffix, opener):
+    bad = tmp_path / f"bad.txt{suffix}"
+    with opener(bad, "wt") as fh:
+        fh.write("# ok\n1 2\n2 3\n3 x\n")
+    assert main(["stats", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
+    assert f"bad.txt{suffix}:4: non-integer node id" in capsys.readouterr().err
 
 
 def test_comment_only_input_is_input_error(tmp_path, capsys):

@@ -15,8 +15,10 @@ from netpatrimony import (
     parse_edge_lines,
     same_labelled_graph,
 )
-from netpatrimony.graph import load_edge_file
+from netpatrimony.graph import _first_appearance_ids, load_edge_file
 from conftest import SIX_NODE_FILE
+
+I64_MIN, I64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def test_first_appearance_indexing():
@@ -24,6 +26,51 @@ def test_first_appearance_indexing():
     assert g.node_labels.tolist() == [10, 3, 7]
     assert g.node_count == 3
     assert g.edge_count == 3
+
+
+def _first_appearance_oracle(labels):
+    index = {}
+    for label in labels:
+        index.setdefault(label, len(index))
+    return [index[label] for label in labels], list(index)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [],
+        [5],
+        [3, 3, 3],
+        [0, -1, I64_MAX, -1, I64_MIN, 0, 7, I64_MIN, I64_MAX, -10, 7],
+        [I64_MAX, I64_MIN, I64_MAX, I64_MIN],
+    ],
+)
+def test_first_appearance_ids_match_dict_oracle(labels):
+    ids, ordered = _first_appearance_ids(np.asarray(labels, dtype=np.int64))
+    assert (ids.tolist(), ordered.tolist()) == _first_appearance_oracle(labels)
+
+
+def test_first_appearance_ids_match_dict_oracle_on_random_labels():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        pool = np.concatenate(
+            [
+                rng.integers(-50, 50, 8),
+                rng.integers(I64_MIN, I64_MAX, 4),
+                [I64_MIN, I64_MAX],
+            ]
+        )
+        labels = rng.choice(pool, int(rng.integers(1, 40))).tolist()
+        ids, ordered = _first_appearance_ids(np.asarray(labels, dtype=np.int64))
+        assert (ids.tolist(), ordered.tolist()) == _first_appearance_oracle(labels)
+
+
+@pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
+def test_nodes_only_graph_keeps_first_appearance_order(mode):
+    g = build_graph([], mode=mode, nodes=[I64_MAX, -3, I64_MAX, I64_MIN, -3])
+    assert g.node_labels.tolist() == [I64_MAX, -3, I64_MIN]
+    assert g.degrees.tolist() == [0, 0, 0]
+    assert g.indptr.tolist() == [0, 0, 0, 0] and g.indices.size == 0
 
 
 def test_raw_multiset_keeps_duplicates_and_loops():
@@ -80,9 +127,10 @@ def test_structure_matches_oracle_on_random_graphs(multiset):
         assert g.degrees.tolist() == oracles.degrees_of(a)
         assert g.edge_count == oracles.edge_count_of(a)
         assert int(g.degrees.sum()) == 2 * g.edge_count  # handshake
-        # CSR symmetry: entry counts i->j and j->i agree
+        # CSR symmetry: entry counts i->j and j->i agree; rows ascend
         for i in range(n):
             row = g.neighbors(i).tolist()
+            assert row == sorted(row)
             for j in range(n):
                 assert row.count(j) == int(a[i, j])
 
@@ -201,6 +249,37 @@ class TestEdgeDump:
     def test_multiplicities_preserved(self):
         g = build_graph([(1, 1), (1, 2), (1, 2)], mode=RAW_MULTISET)
         assert edge_dump_lines(g) == ["1\t1", "1\t2", "1\t2"]
+
+    def test_matches_sorted_line_definition_where_text_and_number_disagree(self):
+        # 9 < 10 but "10" < "9"; -10 < -1 but "-1" < "-10"; the extremes
+        # have the longest texts.
+        labels = [10, 9, -1, -10, I64_MAX, I64_MIN, 0, 1]
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            edges = rng.choice(labels, size=(int(rng.integers(1, 40)), 2))
+            edges = np.concatenate([edges, edges[:5], [[9, 9], [I64_MIN, I64_MIN]]])
+            g = build_graph(edges, mode=RAW_MULTISET)
+            labels_of = g.node_labels.tolist()
+            expected = []
+            for i in range(g.node_count):
+                row = g.neighbors(i).tolist()
+                expected += [f"{labels_of[i]}\t{labels_of[j]}" for j in row if j > i]
+                expected += [f"{labels_of[i]}\t{labels_of[i]}"] * (row.count(i) // 2)
+            assert edge_dump_lines(g) == sorted(expected)
+
+    def test_same_labelled_graph_compares_edge_multisets(self):
+        def raw(edges):
+            return build_graph(edges, mode=RAW_MULTISET, nodes=[1, 2, 3, 4])
+
+        assert same_labelled_graph(raw([(2, 1), (3, 3)]), raw([(3, 3), (1, 2)]))
+        edges = [(1, 2), (4, 3), (2, 3), (4, 4), (1, 4)]
+        reversed_ids = build_graph(edges, mode=RAW_MULTISET, nodes=[4, 3, 2, 1])
+        assert same_labelled_graph(raw(edges), reversed_ids)
+        assert not same_labelled_graph(raw([(1, 2), (3, 4)]), raw([(1, 3), (2, 4)]))
+        assert not same_labelled_graph(
+            raw([(1, 2), (1, 2), (3, 3)]), raw([(1, 2), (3, 3), (3, 3)])
+        )
+        assert not same_labelled_graph(raw([(1, 1)]), raw([(1, 2)]))
 
     @pytest.mark.parametrize("multiset", [False, True])
     def test_dump_round_trips_as_labelled_graph(self, multiset):
