@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import congen as cg
-from . import metrics, nip
+from . import graph, metrics, nip
 from ._parallel import resolve_workers
 from .graph import (
     DENSITY_CONVENTIONS,
@@ -88,14 +88,37 @@ def _json_safe(value):
     return value
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+#: Rows formatted per batch by ``_write_csv``; bounds the temporary
+#: Python strings alive at once.  Each batch's cells go straight into
+#: ``writerows`` so they are freed before the next batch is built.
+_CSV_CHUNK = 4096
+
+
+def _column_cells(column) -> list[str]:
+    """CSV cells of one column as ``_fmt`` gives them; arrays are formatted
+    in bulk (``"%.6g" %`` equals ``format(x, ".6g")`` and is faster)."""
+    if not isinstance(column, np.ndarray):
+        return [_fmt(value) for value in column]
+    if column.dtype.kind != "f":
+        return list(map(str, column.tolist()))
+    cells = list(map("%.6g".__mod__, column.tolist()))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        cells[i] = ""
+    return cells
+
+
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write equal-length columns (numpy arrays or lists) under ``header``."""
     import csv
 
+    rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        for lo in range(0, rows, _CSV_CHUNK):
+            writer.writerows(
+                zip(*[_column_cells(col[lo : lo + _CSV_CHUNK]) for col in columns])
+            )
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -150,6 +173,14 @@ def _load_for_analysis(cfg: RunConfig) -> tuple[Graph, object]:
     return g, degree_stats(g, density_convention=cfg.density_convention)
 
 
+def _class_columns(g: Graph, class_means: dict[int, float]) -> list[np.ndarray]:
+    """Degree, class size and mean columns of a per-degree-class table."""
+    degrees = np.fromiter(class_means, dtype=np.int64, count=len(class_means))
+    class_sizes = np.bincount(g.degrees)
+    values = np.fromiter(class_means.values(), dtype=float, count=len(class_means))
+    return [degrees, class_sizes[degrees], values]
+
+
 def cmd_stats(args) -> int:
     cfg = _config_from_args(args, "stats", [args.input])
     g, stats = _load_for_analysis(cfg)
@@ -158,11 +189,10 @@ def cmd_stats(args) -> int:
     nip_n = nip.nip_network(stats)
     outdir = _ensure_outdir(cfg)
     _write_json(outdir / "summary.json", _analysis_summary(stats, knn_g, assort, nip_n, cfg))
-    uniq, counts = np.unique(g.degrees, return_counts=True)
     _write_csv(
         outdir / "degree_dist.csv",
         ["degree", "count"],
-        [[int(d), int(c)] for d, c in zip(uniq, counts)],
+        list(np.unique(g.degrees, return_counts=True)),
     )
     _write_run_config(outdir, cfg)
     return 0
@@ -181,16 +211,12 @@ def cmd_knn(args) -> int:
     _write_csv(
         outdir / "knn_node.csv",
         ["node_label", "degree", "knn_i"],
-        [
-            [int(label), int(d), float(k)]
-            for label, d, k in zip(g.node_labels, g.degrees, profile.knn_node)
-        ],
+        [g.node_labels, g.degrees, profile.knn_node],
     )
-    class_sizes = np.bincount(g.degrees[g.degrees > 0], minlength=1)
     _write_csv(
         outdir / "knn_class.csv",
         ["degree", "class_size", "knn_d"],
-        [[d, int(class_sizes[d]), v] for d, v in profile.knn_class.items()],
+        _class_columns(g, profile.knn_class),
     )
     _write_run_config(outdir, cfg)
     return 0
@@ -213,36 +239,24 @@ def cmd_nip(args) -> int:
         outdir / "summary.json",
         _analysis_summary(stats, profile.knn_global, profile.assortativity, scores.nip_network, cfg),
     )
-    class_means = scores.nip_class
     _write_csv(
         outdir / "nip_node.csv",
         ["node_label", "degree", "knn_i", "ip", "nip", "class_nip", "classification", "scale"],
         [
-            [
-                int(label),
-                int(d),
-                float(k),
-                float(share),
-                float(score),
-                class_means.get(int(d), float("nan")),
-                label_cls,
-                cfg.scale,
-            ]
-            for label, d, k, share, score, label_cls in zip(
-                g.node_labels,
-                g.degrees,
-                profile.knn_node,
-                scores.ip,
-                scores.nip_node,
-                scores.classification,
-            )
+            g.node_labels,
+            g.degrees,
+            profile.knn_node,
+            scores.ip,
+            scores.nip_node,
+            nip.node_class_means(scores.nip_class, g.degrees),
+            scores.classification,
+            np.broadcast_to(np.array(cfg.scale), g.node_count),
         ],
     )
-    class_sizes = np.bincount(g.degrees[g.degrees > 0], minlength=1)
     _write_csv(
         outdir / "nip_class.csv",
         ["degree", "class_size", "nip_d"],
-        [[d, int(class_sizes[d]), v] for d, v in class_means.items()],
+        _class_columns(g, scores.nip_class),
     )
     _write_run_config(outdir, cfg)
     return 0
@@ -301,32 +315,34 @@ def cmd_congen(args) -> int:
     return 0
 
 
-def _report_metrics(path: Path, mode: str, density_convention: str, workers: int) -> dict:
-    g = load_graph(path, mode=mode)
-    stats = degree_stats(g, density_convention=density_convention)
-    return {
+def _report_rows(name: str, modes: list[str], path: Path, cfg: RunConfig) -> list[dict]:
+    """One row per mode for an edge file, parsed once; one SKIPPED row if
+    the file is missing."""
+    if not path.is_file():
+        return [{"dataset": name, "mode": modes[0], "status": "SKIPPED"}]
+    # Looked up on the module, so the benchmark's tracing hooks see them.
+    edges = graph.load_edge_file(path)
+    return [_report_row(name, graph.build_graph(edges, mode=mode), cfg) for mode in modes]
+
+
+def _report_row(name: str, g: Graph, cfg: RunConfig) -> dict:
+    stats = degree_stats(g, density_convention=cfg.density_convention)
+    row = {
+        "dataset": name,
+        "mode": g.mode,
+        "status": "OK",
         "n": stats.node_count,
         "m": stats.edge_count,
         "density": stats.density,
         "mean_degree": stats.mean_degree,
         "mean_square_degree": stats.mean_square_degree,
         "variance": stats.variance,
-        "assortativity": metrics.assortativity(g, workers=workers),
+        "assortativity": metrics.assortativity(g, workers=cfg.worker_count),
         "nip_network": nip.nip_network(stats),
-        "knn_global": metrics.knn_global(stats),
     }
-
-
-def _report_row(name: str, mode: str, path: Path, cfg: RunConfig) -> dict:
-    row = {"dataset": name, "mode": mode, "status": "OK"}
-    if not path.is_file():
-        row["status"] = "SKIPPED"
-        return row
-    computed = _report_metrics(path, mode, cfg.density_convention, cfg.worker_count)
-    row.update({k: computed[k] for k in REPORT_METRICS})
     # nip_network is defined as 1 + knn_global, so this residual is zero by
     # construction; a nonzero value would flag an internal inconsistency.
-    row["consistency"] = computed["nip_network"] - (1.0 + computed["knn_global"])
+    row["consistency"] = row["nip_network"] - (1.0 + metrics.knn_global(stats))
     ref = AMAZON_REFERENCE.get(name)
     if ref is not None:
         for key in REPORT_METRICS:
@@ -336,29 +352,23 @@ def _report_row(name: str, mode: str, path: Path, cfg: RunConfig) -> dict:
     return row
 
 
-def _print_report_table(rows: list[dict]) -> None:
-    columns = ["dataset", "mode", "status", *REPORT_METRICS, "consistency"]
-    table = [columns]
-    for row in rows:
-        table.append([_fmt(row.get(c, "")) for c in columns])
+def _print_table(columns: list[str], rows: list[dict]) -> None:
+    """Right-aligned columns with a rule under the header."""
+    table = [columns, *([_fmt(row.get(c, "")) for c in columns] for row in rows)]
     widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
-    for line_no, line in enumerate(table):
+    print("  ".join(cell.rjust(w) for cell, w in zip(columns, widths)))
+    print("  ".join("-" * w for w in widths))
+    for line in table[1:]:
         print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
-        if line_no == 0:
-            print("  ".join("-" * w for w in widths))
+
+
+def _print_report_table(rows: list[dict]) -> None:
+    _print_table(["dataset", "mode", "status", *REPORT_METRICS, "consistency"], rows)
     with_ref = [r for r in rows if "diff_nip_network" in r]
     if with_ref:
         print()
         print("deviation from embedded reference values (computed - reference):")
-        diff_cols = ["dataset", "mode", *[f"diff_{k}" for k in REPORT_METRICS]]
-        table = [diff_cols]
-        for row in with_ref:
-            table.append([_fmt(row.get(c, "")) for c in diff_cols])
-        widths = [max(len(line[i]) for line in table) for i in range(len(diff_cols))]
-        for line_no, line in enumerate(table):
-            print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
-            if line_no == 0:
-                print("  ".join("-" * w for w in widths))
+        _print_table(["dataset", "mode", *[f"diff_{k}" for k in REPORT_METRICS]], with_ref)
 
 
 def cmd_report(args) -> int:
@@ -369,11 +379,7 @@ def cmd_report(args) -> int:
     rows = []
     for raw_path in cfg.input_paths:
         path = Path(raw_path)
-        name = path.stem.lower()
-        for mode in modes:
-            rows.append(_report_row(name, mode, path, cfg))
-            if rows[-1]["status"] == "SKIPPED":
-                break  # one SKIPPED row per missing file is enough
+        rows += _report_rows(path.stem.lower(), modes, path, cfg)
     _print_report_table(rows)
     if cfg.output_dir is not None:
         outdir = _ensure_outdir(cfg)
@@ -388,7 +394,7 @@ def cmd_report(args) -> int:
         _write_csv(
             outdir / "report.csv",
             columns,
-            [[row.get(c, "") for c in columns] for row in rows],
+            [[row.get(c, "") for row in rows] for c in columns],
         )
         _write_run_config(outdir, cfg)
     if not any(row["status"] != "SKIPPED" for row in rows):

@@ -47,32 +47,46 @@ def knn_global(stats: DegreeStats) -> float:
     return stats.degree_square_sum / stats.degree_sum
 
 
-def knn_node(g: Graph, workers: int = 1) -> np.ndarray:
+def neighbour_degree_sums(g: Graph, workers: int = 1) -> np.ndarray:
+    """Sum of the neighbours' degrees of every node, as exact int64."""
+    return _parallel.row_sums(g.indptr, g.indices, g.degrees, workers=workers)
+
+
+def knn_node(
+    g: Graph, workers: int = 1, sums: np.ndarray | None = None
+) -> np.ndarray:
     """Per-node mean neighbour degree; NaN for isolated nodes.
 
     Neighbour degrees are summed with multiplicity (parallel edges count
     once per copy; a self-loop contributes its own node's degree twice).
+    ``sums`` takes ``neighbour_degree_sums(g)`` when the caller has it.
     """
-    sums = _parallel.row_sums(g.indptr, g.indices, g.degrees, workers=workers)
+    if sums is None:
+        sums = neighbour_degree_sums(g, workers=workers)
     out = np.full(g.node_count, np.nan)
     np.divide(sums, g.degrees, out=out, where=g.degrees > 0)
     return out
 
 
-def knn_class(g: Graph, knn_node_values: np.ndarray) -> dict[int, float]:
-    """Mean of k_nn,i over each occupied degree class d >= 1.
+def _class_means(degrees: np.ndarray, values: np.ndarray) -> dict[int, float]:
+    """Mean of ``values`` over each occupied degree class d >= 1.
 
     Returns a dict keyed by degree in ascending order.  Averaging runs in
     node-index order, so it reproduces a plain loop over nodes exactly.
     """
-    deg = g.degrees
-    occupied = deg > 0
+    occupied = degrees > 0
     if not occupied.any():
         return {}
-    counts = np.bincount(deg[occupied])
+    counts = np.bincount(degrees[occupied])
     totals = np.zeros(len(counts))
-    np.add.at(totals, deg[occupied], knn_node_values[occupied])
+    np.add.at(totals, degrees[occupied], values[occupied])
     return {int(d): float(totals[d] / counts[d]) for d in np.flatnonzero(counts)}
+
+
+def knn_class(g: Graph, knn_node_values: np.ndarray) -> dict[int, float]:
+    """Mean of k_nn,i over each occupied degree class d >= 1, keyed by
+    ascending degree (see ``_class_means``)."""
+    return _class_means(g.degrees, knn_node_values)
 
 
 def _exact_power_sums(degrees: np.ndarray) -> tuple[int, int]:
@@ -83,7 +97,9 @@ def _exact_power_sums(degrees: np.ndarray) -> tuple[int, int]:
     return s2, s3
 
 
-def assortativity(g: Graph, workers: int = 1) -> float:
+def assortativity(
+    g: Graph, workers: int = 1, sums: np.ndarray | None = None
+) -> float:
     """Pearson correlation of endpoint degrees over ordered edge endpoints.
 
     Every edge contributes both (d_u, d_v) and (d_v, d_u), making the two
@@ -91,6 +107,7 @@ def assortativity(g: Graph, workers: int = 1) -> float:
     are carried exactly in integers, so the result is deterministic to the
     last bit.  Returns NaN when the endpoint-degree variance is zero
     (e.g. regular graphs); raises ValueError for an edgeless graph.
+    ``sums`` takes ``neighbour_degree_sums(g)`` when the caller has it.
     """
     if g.edge_count == 0:
         raise ValueError("assortativity is undefined for a graph with no edges")
@@ -98,8 +115,9 @@ def assortativity(g: Graph, workers: int = 1) -> float:
     pair_count = 2 * g.edge_count  # == sum of degrees
     # Over the 2m ordered pairs: sum of x is sum d_i^2, sum of x^2 is sum d_i^3.
     s_x, s_xx = _exact_power_sums(deg)
-    row = _parallel.row_sums(g.indptr, g.indices, deg, workers=workers)
-    s_xy = _exact_dot(deg, row)
+    if sums is None:
+        sums = neighbour_degree_sums(g, workers=workers)
+    s_xy = _exact_dot(deg, sums)
     num = pair_count * s_xy - s_x * s_x
     den = pair_count * s_xx - s_x * s_x
     if den == 0:
@@ -120,13 +138,14 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
 def knn_profile(
     g: Graph, stats: DegreeStats | None = None, workers: int = 1
 ) -> KnnProfile:
-    """Compute the full neighbour-degree bundle in one pass."""
+    """Compute the full neighbour-degree bundle from one row-sum pass."""
     if stats is None:
         stats = degree_stats(g)
-    per_node = knn_node(g, workers=workers)
+    sums = neighbour_degree_sums(g, workers=workers)
+    per_node = knn_node(g, sums=sums)
     return KnnProfile(
         knn_global=knn_global(stats),
         knn_node=per_node,
         knn_class=knn_class(g, per_node),
-        assortativity=assortativity(g, workers=workers),
+        assortativity=assortativity(g, sums=sums),
     )

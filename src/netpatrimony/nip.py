@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import DegreeStats, Graph, degree_stats
-from .metrics import KnnProfile, knn_global, knn_node
+from .metrics import KnnProfile, _class_means, knn_global, knn_node
 
 NORMALIZED = "NORMALIZED"
 RAW = "RAW"
@@ -44,11 +44,11 @@ class NipScores:
     """Per-node and per-class patrimony scores of one graph."""
 
     ip: np.ndarray = field(repr=False)
-    nip_network: float = 0.0
-    nip_node: np.ndarray = field(repr=False, default=None)
-    nip_class: dict[int, float] = field(repr=False, default=None)
-    classification: list[str] = field(repr=False, default=None)
-    scale: str = NORMALIZED
+    nip_network: float
+    nip_node: np.ndarray = field(repr=False)
+    nip_class: dict[int, float] = field(repr=False)
+    classification: list[str] = field(repr=False)
+    scale: str
 
 
 def ip(g: Graph) -> np.ndarray:
@@ -111,15 +111,19 @@ def nip_class(
     Keys ascend; averaging runs in node-index order so the values match a
     plain loop over nodes.
     """
-    values = nip_node_correlated(g, knn=knn, scale=scale, workers=workers)
-    deg = g.degrees
-    occupied = deg > 0
-    if not occupied.any():
-        return {}
-    counts = np.bincount(deg[occupied])
-    totals = np.zeros(len(counts))
-    np.add.at(totals, deg[occupied], values[occupied])
-    return {int(d): float(totals[d] / counts[d]) for d in np.flatnonzero(counts)}
+    return _class_means(
+        g.degrees, nip_node_correlated(g, knn=knn, scale=scale, workers=workers)
+    )
+
+
+def node_class_means(class_means: dict[int, float], degrees: np.ndarray) -> np.ndarray:
+    """Each node's degree-class mean from ``class_means``; NaN where its
+    degree has no entry."""
+    degrees = np.asarray(degrees)
+    baseline = np.full(int(degrees.max(initial=0)) + 1, np.nan)
+    keys = [d for d in class_means if d < len(baseline)]
+    baseline[keys] = [class_means[d] for d in keys]
+    return baseline[degrees]
 
 
 def classify_performers(
@@ -143,11 +147,7 @@ def classify_performers(
         )
     if len(degrees) == 0:
         return []
-    baseline = np.full(int(degrees.max()) + 1, np.nan)
-    for d, value in class_means.items():
-        if d <= degrees.max():
-            baseline[d] = value
-    base = baseline[degrees]
+    base = node_class_means(class_means, degrees)
     with np.errstate(invalid="ignore"):
         labels = np.select(
             [
@@ -158,7 +158,7 @@ def classify_performers(
             [UNDEFINED, OVER, UNDER],
             default=AT_PAR,
         )
-    return [str(x) for x in labels]
+    return labels.tolist()
 
 
 def nip_scores(
@@ -173,9 +173,8 @@ def nip_scores(
     scores on the requested scale, and the per-node classification."""
     if stats is None:
         stats = degree_stats(g)
-    knn_values = _knn_array(knn, g, workers)
-    per_node = nip_node_correlated(g, knn=knn_values, scale=scale)
-    per_class = nip_class(g, knn=knn_values, scale=scale)
+    per_node = nip_node_correlated(g, knn=knn, scale=scale, workers=workers)
+    per_class = _class_means(g.degrees, per_node)
     return NipScores(
         ip=ip(g),
         nip_network=nip_network(stats),

@@ -6,6 +6,8 @@ loops, deliberately sharing no code with the package internals.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from itertools import combinations
 
@@ -145,3 +147,22 @@ def realizable_sequences(max_len, max_degree):
             if max(deg, default=0) <= max_degree:
                 realizable.add(tuple(sorted(deg, reverse=True)))
     return realizable
+
+
+def csv_cell(value) -> str:
+    """CSV cell text: %.6g for floats, empty for NaN, str otherwise."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return ""
+        return format(value, ".6g")
+    return str(value)
+
+
+def csv_bytes(header, rows) -> bytes:
+    """UTF-8 CSV written one ``writerow`` per row, each cell via ``csv_cell``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([csv_cell(cell) for cell in row])
+    return buf.getvalue().encode("utf-8")

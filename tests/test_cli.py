@@ -4,8 +4,21 @@ import gzip
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
+from netpatrimony import (
+    NORMALIZED,
+    RAW,
+    RAW_MULTISET,
+    SIMPLE,
+    assortativity,
+    degree_stats,
+    knn_profile,
+    load_graph,
+    nip_scores,
+)
 from netpatrimony.cli import main
 from conftest import SIX_NODE_FILE, require_amazon
 
@@ -146,6 +159,106 @@ def test_worker_count_env_default(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["stats", str(SIX_NODE_FILE), "--output-dir", str(out)]) == 0
     assert read_json(out / "run_config.json")["worker_count"] == 3
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def write_random_edge_file(path: Path, seed: int) -> None:
+    """Random edges over negative, int64-extreme and 12-digit labels.  Two
+    labels occur only in self-loops, so SIMPLE mode leaves them isolated."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate(
+        [[INT64_MIN, INT64_MAX, -1, 0], rng.integers(-(10**12), 10**12, size=12)]
+    )
+    k = int(rng.integers(4, 50))
+    pairs = [(INT64_MIN, INT64_MAX)]
+    pairs += zip(rng.choice(pool, size=k).tolist(), rng.choice(pool, size=k).tolist())
+    pairs += [(-5 * 10**12, -5 * 10**12), (7 * 10**12, 7 * 10**12)]
+    path.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+
+
+@pytest.mark.parametrize("mode", [SIMPLE, RAW_MULTISET])
+def test_analysis_csv_bytes_match_row_wise_writer(tmp_path, mode):
+    for seed in range(12):
+        edges = tmp_path / f"g{seed}.txt"
+        write_random_edge_file(edges, seed)
+        g = load_graph(edges, mode=mode)
+        stats = degree_stats(g)
+        profile = knn_profile(g, stats=stats)
+        dist = {}
+        for d in g.degrees.tolist():
+            dist[d] = dist.get(d, 0) + 1
+        class_sizes = np.bincount(g.degrees)
+        expected = {
+            ("stats", "degree_dist.csv"): oracles.csv_bytes(
+                ["degree", "count"], sorted(dist.items())
+            ),
+            ("knn", "knn_node.csv"): oracles.csv_bytes(
+                ["node_label", "degree", "knn_i"],
+                zip(g.node_labels.tolist(), g.degrees.tolist(), profile.knn_node.tolist()),
+            ),
+            ("knn", "knn_class.csv"): oracles.csv_bytes(
+                ["degree", "class_size", "knn_d"],
+                [[d, int(class_sizes[d]), v] for d, v in profile.knn_class.items()],
+            ),
+        }
+        for scale in (NORMALIZED, RAW):
+            scores = nip_scores(g, scale=scale, stats=stats, knn=profile)
+            rows = [
+                [label, d, k, share, score, scores.nip_class.get(d, float("nan")), cls, scale]
+                for label, d, k, share, score, cls in zip(
+                    g.node_labels.tolist(),
+                    g.degrees.tolist(),
+                    profile.knn_node.tolist(),
+                    scores.ip.tolist(),
+                    scores.nip_node.tolist(),
+                    scores.classification,
+                )
+            ]
+            expected[("nip", scale, "nip_node.csv")] = oracles.csv_bytes(
+                ["node_label", "degree", "knn_i", "ip", "nip", "class_nip", "classification", "scale"],
+                rows,
+            )
+            expected[("nip", scale, "nip_class.csv")] = oracles.csv_bytes(
+                ["degree", "class_size", "nip_d"],
+                [[d, int(class_sizes[d]), v] for d, v in scores.nip_class.items()],
+            )
+        if mode == SIMPLE:
+            assert (g.degrees == 0).sum() == 2  # NaN knn_i and class_nip cells
+        for key, want in expected.items():
+            command, *scale, name = key
+            out = tmp_path / f"{seed}-{'-'.join(key[:-1])}"
+            argv = [command, str(edges), "--output-dir", str(out), "--mode", mode]
+            assert main(argv + ["--scale", *scale] if scale else argv) == 0
+            assert (out / name).read_bytes() == want, (seed, key)
+
+
+def test_report_csv_bytes_match_row_wise_writer(tmp_path, capsys):
+    edges = tmp_path / "net,work.txt"
+    write_random_edge_file(edges, 99)
+    missing = tmp_path / "gone.txt"
+    out = tmp_path / "out"
+    assert main(["report", str(edges), str(missing), "--both-modes", "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    metrics = ["n", "m", "density", "mean_degree", "mean_square_degree", "variance",
+               "assortativity", "nip_network"]
+    header = ["dataset", "mode", "status", *metrics, "consistency", *[f"diff_{k}" for k in metrics]]
+    rows = []
+    for mode in (RAW_MULTISET, SIMPLE):
+        g = load_graph(edges, mode=mode)
+        s = degree_stats(g)
+        knn_g = s.degree_square_sum / s.degree_sum
+        nip_net = 1.0 + knn_g
+        rows.append(
+            ["net,work", mode, "NO_REFERENCE", s.node_count, s.edge_count, s.density,
+             s.mean_degree, s.mean_square_degree, s.variance, assortativity(g), nip_net,
+             nip_net - (1.0 + knn_g)] + [""] * len(metrics)
+        )
+    rows.append(["gone", RAW_MULTISET, "SKIPPED"] + [""] * (len(header) - 3))
+    got = (out / "report.csv").read_bytes()
+    assert got == oracles.csv_bytes(header, rows)
+    assert b'\r\n"net,work",RAW_MULTISET,NO_REFERENCE,' in got
 
 
 def test_missing_input_is_input_error(tmp_path, capsys):
