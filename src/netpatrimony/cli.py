@@ -17,15 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import congen as cg
 from . import graph, metrics, nip
-from ._parallel import resolve_workers
 from .graph import (
     DENSITY_CONVENTIONS,
     MODES,
@@ -39,6 +39,8 @@ from .graph import (
 )
 from .reference import AMAZON_REFERENCE
 
+WORKERS_ENV = "NETPATRIMONY_WORKERS"
+
 REPORT_METRICS = (
     "n",
     "m",
@@ -49,6 +51,8 @@ REPORT_METRICS = (
     "assortativity",
     "nip_network",
 )
+_REPORT_COLUMNS = ["dataset", "mode", "status", *REPORT_METRICS, "consistency"]
+_DIFF_COLUMNS = [f"diff_{key}" for key in REPORT_METRICS]
 
 
 @dataclass(frozen=True)
@@ -137,11 +141,31 @@ def _ensure_outdir(cfg: RunConfig) -> Path:
     return outdir
 
 
-def _config_from_args(args, command: str, inputs: list[str]) -> RunConfig:
+def resolve_workers(requested: int | None) -> int:
+    """Worker count from the explicit request, else the environment, else 1.
+    It is only echoed in run_config.json: every pass runs on one thread."""
+    text = os.environ.get(WORKERS_ENV, "1") if requested is None else requested
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise ValueError(f"worker count must be >= 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        return nip.check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _config_from_args(args, inputs: list) -> RunConfig:
     return RunConfig(
-        command=command,
+        command=args.command,
         input_paths=[str(p) for p in inputs],
-        mode=args.mode,
+        mode=getattr(args, "mode", None),
         density_convention=args.density_convention,
         scale=args.scale,
         output_dir=args.output_dir,
@@ -149,28 +173,6 @@ def _config_from_args(args, command: str, inputs: list[str]) -> RunConfig:
         tolerance=args.tolerance,
         worker_count=resolve_workers(args.worker_count),
     )
-
-
-def _analysis_summary(stats, knn_g, assort, nip_n, cfg: RunConfig) -> dict:
-    return {
-        "n": stats.node_count,
-        "m": stats.edge_count,
-        "mean_degree": stats.mean_degree,
-        "mean_square_degree": stats.mean_square_degree,
-        "variance": stats.variance,
-        "density": stats.density,
-        "density_convention": stats.density_convention,
-        "knn_global": knn_g,
-        "assortativity": _json_safe(assort),
-        "nip_network": nip_n,
-        "scale": cfg.scale,
-        "mode": cfg.mode,
-    }
-
-
-def _load_for_analysis(cfg: RunConfig) -> tuple[Graph, object]:
-    g = load_graph(cfg.input_paths[0], mode=cfg.mode)
-    return g, degree_stats(g, density_convention=cfg.density_convention)
 
 
 def _class_columns(g: Graph, class_means: dict[int, float]) -> list[np.ndarray]:
@@ -181,33 +183,46 @@ def _class_columns(g: Graph, class_means: dict[int, float]) -> list[np.ndarray]:
     return [degrees, class_sizes[degrees], values]
 
 
-def cmd_stats(args) -> int:
-    cfg = _config_from_args(args, "stats", [args.input])
-    g, stats = _load_for_analysis(cfg)
-    knn_g = metrics.knn_global(stats)
-    assort = metrics.assortativity(g, workers=cfg.worker_count)
-    nip_n = nip.nip_network(stats)
+def _analyse(args) -> tuple[RunConfig, Path, Graph, graph.DegreeStats, metrics.KnnProfile]:
+    """Shared head of ``stats``/``knn``/``nip``: load the graph, take its
+    degree moments and one neighbour-degree profile, and write
+    summary.json and run_config.json."""
+    cfg = _config_from_args(args, [args.input])
+    g = load_graph(cfg.input_paths[0], mode=cfg.mode)
+    stats = degree_stats(g, density_convention=cfg.density_convention)
+    profile = metrics.knn_profile(g, stats=stats)
     outdir = _ensure_outdir(cfg)
-    _write_json(outdir / "summary.json", _analysis_summary(stats, knn_g, assort, nip_n, cfg))
+    summary = {
+        "n": stats.node_count,
+        "m": stats.edge_count,
+        "mean_degree": stats.mean_degree,
+        "mean_square_degree": stats.mean_square_degree,
+        "variance": stats.variance,
+        "density": stats.density,
+        "density_convention": stats.density_convention,
+        "knn_global": profile.knn_global,
+        "assortativity": _json_safe(profile.assortativity),
+        "nip_network": nip.nip_network(stats),
+        "scale": cfg.scale,
+        "mode": cfg.mode,
+    }
+    _write_json(outdir / "summary.json", summary)
+    _write_run_config(outdir, cfg)
+    return cfg, outdir, g, stats, profile
+
+
+def cmd_stats(args) -> int:
+    _, outdir, g, _, _ = _analyse(args)
     _write_csv(
         outdir / "degree_dist.csv",
         ["degree", "count"],
         list(np.unique(g.degrees, return_counts=True)),
     )
-    _write_run_config(outdir, cfg)
     return 0
 
 
 def cmd_knn(args) -> int:
-    cfg = _config_from_args(args, "knn", [args.input])
-    g, stats = _load_for_analysis(cfg)
-    profile = metrics.knn_profile(g, stats=stats, workers=cfg.worker_count)
-    nip_n = nip.nip_network(stats)
-    outdir = _ensure_outdir(cfg)
-    _write_json(
-        outdir / "summary.json",
-        _analysis_summary(stats, profile.knn_global, profile.assortativity, nip_n, cfg),
-    )
+    _, outdir, g, _, profile = _analyse(args)
     _write_csv(
         outdir / "knn_node.csv",
         ["node_label", "degree", "knn_i"],
@@ -218,26 +233,13 @@ def cmd_knn(args) -> int:
         ["degree", "class_size", "knn_d"],
         _class_columns(g, profile.knn_class),
     )
-    _write_run_config(outdir, cfg)
     return 0
 
 
 def cmd_nip(args) -> int:
-    cfg = _config_from_args(args, "nip", [args.input])
-    g, stats = _load_for_analysis(cfg)
-    profile = metrics.knn_profile(g, stats=stats, workers=cfg.worker_count)
+    cfg, outdir, g, stats, profile = _analyse(args)
     scores = nip.nip_scores(
-        g,
-        scale=cfg.scale,
-        tolerance=cfg.tolerance,
-        stats=stats,
-        knn=profile,
-        workers=cfg.worker_count,
-    )
-    outdir = _ensure_outdir(cfg)
-    _write_json(
-        outdir / "summary.json",
-        _analysis_summary(stats, profile.knn_global, profile.assortativity, scores.nip_network, cfg),
+        g, scale=cfg.scale, tolerance=cfg.tolerance, stats=stats, knn=profile
     )
     _write_csv(
         outdir / "nip_node.csv",
@@ -258,7 +260,6 @@ def cmd_nip(args) -> int:
         ["degree", "class_size", "nip_d"],
         _class_columns(g, scores.nip_class),
     )
-    _write_run_config(outdir, cfg)
     return 0
 
 
@@ -267,16 +268,10 @@ def cmd_congen(args) -> int:
     spec = cg.DegreeSequenceSpec.from_json(spec_path.read_text(encoding="utf-8"))
     if args.seed is not None:
         spec = cg.DegreeSequenceSpec.from_dict({**spec.to_dict(), "seed": args.seed})
-    cfg = RunConfig(
-        command="congen",
-        input_paths=[str(spec_path)],
+    cfg = replace(
+        _config_from_args(args, [spec_path]),
         mode=RAW_MULTISET if spec.simple_policy == cg.MULTIGRAPH else SIMPLE,
-        density_convention=args.density_convention,
-        scale=args.scale,
-        output_dir=args.output_dir,
         seed=spec.seed,
-        tolerance=args.tolerance,
-        worker_count=resolve_workers(args.worker_count),
     )
     sequence = cg.sample_degree_sequence(spec)
     if spec.simple_policy == cg.REJECT:
@@ -315,9 +310,10 @@ def cmd_congen(args) -> int:
     return 0
 
 
-def _report_rows(name: str, modes: list[str], path: Path, cfg: RunConfig) -> list[dict]:
+def _report_rows(path: Path, modes: list[str], cfg: RunConfig) -> list[dict]:
     """One row per mode for an edge file, parsed once; one SKIPPED row if
     the file is missing."""
+    name = path.stem.lower()
     if not path.is_file():
         return [{"dataset": name, "mode": modes[0], "status": "SKIPPED"}]
     # Looked up on the module, so the benchmark's tracing hooks see them.
@@ -337,7 +333,7 @@ def _report_row(name: str, g: Graph, cfg: RunConfig) -> dict:
         "mean_degree": stats.mean_degree,
         "mean_square_degree": stats.mean_square_degree,
         "variance": stats.variance,
-        "assortativity": metrics.assortativity(g, workers=cfg.worker_count),
+        "assortativity": metrics.assortativity(g),
         "nip_network": nip.nip_network(stats),
     }
     # nip_network is defined as 1 + knn_global, so this residual is zero by
@@ -363,34 +359,22 @@ def _print_table(columns: list[str], rows: list[dict]) -> None:
 
 
 def _print_report_table(rows: list[dict]) -> None:
-    _print_table(["dataset", "mode", "status", *REPORT_METRICS, "consistency"], rows)
+    _print_table(_REPORT_COLUMNS, rows)
     with_ref = [r for r in rows if "diff_nip_network" in r]
     if with_ref:
         print()
         print("deviation from embedded reference values (computed - reference):")
-        _print_table(["dataset", "mode", *[f"diff_{k}" for k in REPORT_METRICS]], with_ref)
+        _print_table(["dataset", "mode", *_DIFF_COLUMNS], with_ref)
 
 
 def cmd_report(args) -> int:
-    cfg = _config_from_args(args, "report", list(args.inputs))
-    modes = [cfg.mode] if not args.both_modes else [cfg.mode] + [
-        m for m in MODES if m != cfg.mode
-    ]
-    rows = []
-    for raw_path in cfg.input_paths:
-        path = Path(raw_path)
-        rows += _report_rows(path.stem.lower(), modes, path, cfg)
+    cfg = _config_from_args(args, args.inputs)
+    modes = [cfg.mode, *(m for m in MODES if args.both_modes and m != cfg.mode)]
+    rows = [row for path in cfg.input_paths for row in _report_rows(Path(path), modes, cfg)]
     _print_report_table(rows)
     if cfg.output_dir is not None:
         outdir = _ensure_outdir(cfg)
-        columns = [
-            "dataset",
-            "mode",
-            "status",
-            *REPORT_METRICS,
-            "consistency",
-            *[f"diff_{k}" for k in REPORT_METRICS],
-        ]
+        columns = [*_REPORT_COLUMNS, *_DIFF_COLUMNS]
         _write_csv(
             outdir / "report.csv",
             columns,
@@ -409,7 +393,7 @@ def _add_common(parser, default_mode=SIMPLE, with_mode=True):
         "--density-convention", choices=DENSITY_CONVENTIONS, default=TABLE1
     )
     parser.add_argument("--scale", choices=nip.SCALES, default=nip.NORMALIZED)
-    parser.add_argument("--tolerance", type=float, default=nip.DEFAULT_TOLERANCE)
+    parser.add_argument("--tolerance", type=_tolerance, default=nip.DEFAULT_TOLERANCE)
     parser.add_argument("--worker-count", type=int, default=None)
 
 

@@ -20,7 +20,10 @@ appearance, and the original labels are kept for output.
 
 from __future__ import annotations
 
+import importlib
+import lzma
 import warnings
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -253,8 +256,14 @@ def build_graph(
     )
 
 
-def _parse_lines_strict(lines: Iterable[str], path: str) -> np.ndarray:
-    """Line-by-line edge parser with exact error locations (slow path)."""
+def parse_edge_lines(lines: Iterable[str], path: str = "<memory>") -> np.ndarray:
+    """Parse SNAP-style edge-list lines to an (k, 2) int64 array.
+
+    Lines starting with ``#`` and blank lines are ignored; every other line
+    must hold two whitespace-separated integer ids.  Malformed lines raise
+    SnapParseError with the 1-based line number.  This is the strict, slow
+    path: ``load_edge_file`` uses it only when the numpy reader fails.
+    """
     out: list[tuple[int, int]] = []
     for line_no, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
@@ -281,36 +290,28 @@ def _parse_lines_strict(lines: Iterable[str], path: str) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def parse_edge_lines(lines: Iterable[str], path: str = "<memory>") -> np.ndarray:
-    """Parse SNAP-style edge-list lines to an (k, 2) int64 array.
-
-    Lines starting with ``#`` and blank lines are ignored; every other line
-    must hold two whitespace-separated integer ids.  Malformed lines raise
-    SnapParseError with the 1-based line number.
-    """
-    return _parse_lines_strict(lines, path)
+#: The compressed suffixes ``np.loadtxt`` decompresses, and the module
+#: whose ``open`` reads each; imported only when such a file is re-parsed
+#: (numpy already loads ``lzma`` and ``zlib``, not ``gzip``).
+_DECOMPRESSORS = {".gz": "gzip", ".bz2": "bz2", ".xz": "lzma", ".lzma": "lzma"}
 
 
 def _open_text(path: Path):
-    """Open an edge file as text, decompressing ``.gz`` and ``.bz2`` like
-    ``np.loadtxt`` does, so the strict parser sees the same lines."""
-    if path.suffix == ".gz":
-        import gzip
-
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    if path.suffix == ".bz2":
-        import bz2
-
-        return bz2.open(path, "rt", encoding="utf-8", errors="replace")
-    return open(path, "r", encoding="utf-8", errors="replace")
+    """Open an edge file as text, decompressed like ``np.loadtxt`` does, so
+    the strict parser sees the same lines."""
+    module = _DECOMPRESSORS.get(path.suffix)
+    opener = open if module is None else importlib.import_module(module).open
+    return opener(path, "rt", encoding="utf-8", errors="replace")
 
 
 def load_edge_file(path: str | Path) -> np.ndarray:
     """Read an edge-list text file to an (k, 2) int64 array.
 
     Tries the fast numpy text reader first and falls back to the strict
-    parser (which pins down the offending line) when the file does not
-    conform.  Files ending in ``.gz`` or ``.bz2`` are decompressed.
+    parser, which pins down the offending line, when that fails or the
+    file does not have two columns.  Files ending in ``.gz``, ``.bz2``,
+    ``.xz`` or ``.lzma`` are decompressed; truncated or corrupt compressed
+    data raises ValueError naming the file.
     """
     path = Path(path)
     try:
@@ -322,18 +323,17 @@ def load_edge_file(path: str | Path) -> np.ndarray:
             )
             warnings.filterwarnings("ignore", message=".*input contained no data.*")
             arr = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
-    except OSError:
-        raise
+        if arr.shape[1] == 2:
+            return arr
+        # An empty file, or a uniformly wrong column count, parses fine.
     except Exception:
-        with _open_text(path) as fh:
-            return _parse_lines_strict(fh, str(path))
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr.shape[1] != 2:
-        # Uniformly wrong column count parses fine; re-scan for the message.
-        with _open_text(path) as fh:
-            return _parse_lines_strict(fh, str(path))
-    return arr
+        pass  # the strict parser below says what is wrong, and where
+    with _open_text(path) as fh:
+        try:
+            return parse_edge_lines(fh, str(path))
+        except (EOFError, OSError, zlib.error, lzma.LZMAError) as exc:
+            # Truncated or corrupt compressed data.
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def load_graph(path: str | Path, mode: str = SIMPLE) -> Graph:

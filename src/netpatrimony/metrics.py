@@ -47,14 +47,12 @@ def knn_global(stats: DegreeStats) -> float:
     return stats.degree_square_sum / stats.degree_sum
 
 
-def neighbour_degree_sums(g: Graph, workers: int = 1) -> np.ndarray:
+def neighbour_degree_sums(g: Graph) -> np.ndarray:
     """Sum of the neighbours' degrees of every node, as exact int64."""
-    return _parallel.row_sums(g.indptr, g.indices, g.degrees, workers=workers)
+    return _parallel.row_sums(g.indptr, g.indices, g.degrees)
 
 
-def knn_node(
-    g: Graph, workers: int = 1, sums: np.ndarray | None = None
-) -> np.ndarray:
+def knn_node(g: Graph, sums: np.ndarray | None = None) -> np.ndarray:
     """Per-node mean neighbour degree; NaN for isolated nodes.
 
     Neighbour degrees are summed with multiplicity (parallel edges count
@@ -62,7 +60,7 @@ def knn_node(
     ``sums`` takes ``neighbour_degree_sums(g)`` when the caller has it.
     """
     if sums is None:
-        sums = neighbour_degree_sums(g, workers=workers)
+        sums = neighbour_degree_sums(g)
     out = np.full(g.node_count, np.nan)
     np.divide(sums, g.degrees, out=out, where=g.degrees > 0)
     return out
@@ -97,9 +95,7 @@ def _exact_power_sums(degrees: np.ndarray) -> tuple[int, int]:
     return s2, s3
 
 
-def assortativity(
-    g: Graph, workers: int = 1, sums: np.ndarray | None = None
-) -> float:
+def assortativity(g: Graph, sums: np.ndarray | None = None) -> float:
     """Pearson correlation of endpoint degrees over ordered edge endpoints.
 
     Every edge contributes both (d_u, d_v) and (d_v, d_u), making the two
@@ -116,7 +112,7 @@ def assortativity(
     # Over the 2m ordered pairs: sum of x is sum d_i^2, sum of x^2 is sum d_i^3.
     s_x, s_xx = _exact_power_sums(deg)
     if sums is None:
-        sums = neighbour_degree_sums(g, workers=workers)
+        sums = neighbour_degree_sums(g)
     s_xy = _exact_dot(deg, sums)
     num = pair_count * s_xy - s_x * s_x
     den = pair_count * s_xx - s_x * s_x
@@ -135,13 +131,11 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
     return sum(int(x) * int(y) for x, y in zip(a, b))
 
 
-def knn_profile(
-    g: Graph, stats: DegreeStats | None = None, workers: int = 1
-) -> KnnProfile:
+def knn_profile(g: Graph, stats: DegreeStats | None = None) -> KnnProfile:
     """Compute the full neighbour-degree bundle from one row-sum pass."""
     if stats is None:
         stats = degree_stats(g)
-    sums = neighbour_degree_sums(g, workers=workers)
+    sums = neighbour_degree_sums(g)
     per_node = knn_node(g, sums=sums)
     return KnnProfile(
         knn_global=knn_global(stats),

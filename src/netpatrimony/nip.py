@@ -20,6 +20,7 @@ under-performers relative to peers of the same degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,19 +71,8 @@ def nip_node_uncorrelated(g: Graph, stats: DegreeStats | None = None) -> np.ndar
     return ip(g) * nip_network(stats)
 
 
-def _knn_array(knn, g: Graph, workers: int) -> np.ndarray:
-    if knn is None:
-        return knn_node(g, workers=workers)
-    if isinstance(knn, KnnProfile):
-        return knn.knn_node
-    return np.asarray(knn, dtype=float)
-
-
 def nip_node_correlated(
-    g: Graph,
-    knn: KnnProfile | np.ndarray | None = None,
-    scale: str = NORMALIZED,
-    workers: int = 1,
+    g: Graph, knn: KnnProfile | None = None, scale: str = NORMALIZED
 ) -> np.ndarray:
     """Per-node score (d_i / 2m) * (1 + k_nn,i) using measured k_nn,i.
 
@@ -92,7 +82,7 @@ def nip_node_correlated(
     """
     if scale not in SCALES:
         raise ValueError(f"unknown scale: {scale!r} (expected NORMALIZED or RAW)")
-    knn_values = _knn_array(knn, g, workers)
+    knn_values = knn_node(g) if knn is None else knn.knn_node
     normalized = ip(g) * (1.0 + knn_values)
     normalized[g.degrees == 0] = 0.0
     if scale == RAW:
@@ -101,19 +91,14 @@ def nip_node_correlated(
 
 
 def nip_class(
-    g: Graph,
-    knn: KnnProfile | np.ndarray | None = None,
-    scale: str = NORMALIZED,
-    workers: int = 1,
+    g: Graph, knn: KnnProfile | None = None, scale: str = NORMALIZED
 ) -> dict[int, float]:
     """Mean per-node score over each occupied degree class d >= 1.
 
     Keys ascend; averaging runs in node-index order so the values match a
     plain loop over nodes.
     """
-    return _class_means(
-        g.degrees, nip_node_correlated(g, knn=knn, scale=scale, workers=workers)
-    )
+    return _class_means(g.degrees, nip_node_correlated(g, knn=knn, scale=scale))
 
 
 def node_class_means(class_means: dict[int, float], degrees: np.ndarray) -> np.ndarray:
@@ -124,6 +109,13 @@ def node_class_means(class_means: dict[int, float], degrees: np.ndarray) -> np.n
     keys = [d for d in class_means if d < len(baseline)]
     baseline[keys] = [class_means[d] for d in keys]
     return baseline[degrees]
+
+
+def check_tolerance(tolerance: float) -> float:
+    """``tolerance`` itself; ValueError unless it is finite and >= 0."""
+    if not (tolerance >= 0 and math.isfinite(tolerance)):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    return tolerance
 
 
 def classify_performers(
@@ -137,8 +129,9 @@ def classify_performers(
     A node is AT_PAR when its score lies within ``tolerance`` (relative) of
     the class mean, OVER above that band, UNDER below it.  Isolated nodes
     are labelled UNDEFINED.  Raises ValueError when the two arrays differ
-    in length.
+    in length or ``tolerance`` is negative or not finite.
     """
+    check_tolerance(tolerance)
     nip_node = np.asarray(nip_node, dtype=float)
     degrees = np.asarray(degrees)
     if len(nip_node) != len(degrees):
@@ -166,14 +159,13 @@ def nip_scores(
     scale: str = NORMALIZED,
     tolerance: float = DEFAULT_TOLERANCE,
     stats: DegreeStats | None = None,
-    knn: KnnProfile | np.ndarray | None = None,
-    workers: int = 1,
+    knn: KnnProfile | None = None,
 ) -> NipScores:
     """Full patrimony bundle: shares, network score, per-node and per-class
     scores on the requested scale, and the per-node classification."""
     if stats is None:
         stats = degree_stats(g)
-    per_node = nip_node_correlated(g, knn=knn, scale=scale, workers=workers)
+    per_node = nip_node_correlated(g, knn=knn, scale=scale)
     per_class = _class_means(g.degrees, per_node)
     return NipScores(
         ip=ip(g),

@@ -1,7 +1,9 @@
 import bz2
 import csv
+import functools
 import gzip
 import json
+import lzma
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +163,31 @@ def test_worker_count_env_default(tmp_path, monkeypatch):
     assert read_json(out / "run_config.json")["worker_count"] == 3
 
 
+def test_worker_count_env_error_names_the_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NETPATRIMONY_WORKERS", "x")
+    assert main(["stats", str(SIX_NODE_FILE), "--output-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: NETPATRIMONY_WORKERS must be an integer, got 'x'" in err
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan", "-inf"])
+@pytest.mark.parametrize("command", ["stats", "knn", "nip", "congen", "report"])
+def test_bad_tolerance_is_usage_error(tmp_path, capsys, command, value):
+    out = tmp_path / "o"
+    source = str(tmp_path / "spec.json") if command == "congen" else str(SIX_NODE_FILE)
+    argv = [command, source, "--output-dir", str(out), f"--tolerance={value}"]
+    assert main(argv) == 1
+    assert "argument --tolerance: tolerance must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_tolerance_is_accepted(tmp_path):
+    out = tmp_path / "o"
+    argv = ["nip", str(SIX_NODE_FILE), "--output-dir", str(out), "--tolerance", "0"]
+    assert main(argv) == 0
+    assert read_json(out / "run_config.json")["tolerance"] == 0.0
+
+
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -274,13 +301,48 @@ def test_malformed_input_reports_line(tmp_path, capsys):
     assert ":3:" in err
 
 
-@pytest.mark.parametrize("suffix, opener", [(".gz", gzip.open), (".bz2", bz2.open)])
-def test_malformed_compressed_input_reports_line(tmp_path, capsys, suffix, opener):
+LINE_4 = ":4: non-integer node id"
+TRUNCATED = ": Compressed file ended before the end-of-stream marker was reached"
+LZMA_ALONE = functools.partial(lzma.open, format=lzma.FORMAT_ALONE)
+
+
+@pytest.mark.parametrize(
+    "suffix, opener, keep, message",
+    [
+        pytest.param(".gz", gzip.open, None, LINE_4, id=".gz-open"),
+        pytest.param(".bz2", bz2.open, None, LINE_4, id=".bz2-open"),
+        pytest.param(".xz", lzma.open, None, LINE_4, id=".xz-open"),
+        pytest.param(".lzma", LZMA_ALONE, None, LINE_4, id=".lzma-open"),
+        pytest.param(".gz", gzip.open, 12, TRUNCATED, id=".gz-truncated"),
+        pytest.param(".bz2", bz2.open, 12, TRUNCATED, id=".bz2-truncated"),
+        pytest.param(".xz", lzma.open, 12, TRUNCATED, id=".xz-truncated"),
+    ],
+)
+def test_malformed_compressed_input_reports_line(
+    tmp_path, capsys, suffix, opener, keep, message
+):
+    """A bad line 4 is located in the decompressed text; a file cut after
+    ``keep`` bytes is reported against its path, not as a traceback."""
     bad = tmp_path / f"bad.txt{suffix}"
     with opener(bad, "wt") as fh:
         fh.write("# ok\n1 2\n2 3\n3 x\n")
+    bad.write_bytes(bad.read_bytes()[:keep])
     assert main(["stats", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
-    assert f"bad.txt{suffix}:4: non-integer node id" in capsys.readouterr().err
+    assert f"error: {bad}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suffix, opener", [(".gz", gzip.open), (".bz2", bz2.open), (".xz", lzma.open)]
+)
+def test_corrupt_compressed_input_names_the_file(tmp_path, capsys, suffix, opener):
+    bad = tmp_path / f"bad.txt{suffix}"
+    with opener(bad, "wt") as fh:
+        fh.write("".join(f"{i} {i + 1}\n" for i in range(50)))
+    data = bytearray(bad.read_bytes())
+    data[len(data) // 2 : len(data) // 2 + 4] = b"\xff" * 4
+    bad.write_bytes(bytes(data))
+    assert main(["stats", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
+    assert f"error: {bad}: " in capsys.readouterr().err
 
 
 def test_comment_only_input_is_input_error(tmp_path, capsys):

@@ -117,16 +117,3 @@ def test_matches_oracles_on_random_graphs(multiset):
             assert math.isnan(r)
         else:
             assert math.isclose(r, r_ref, rel_tol=1e-9, abs_tol=1e-12)
-
-
-def test_worker_count_does_not_change_results():
-    rng = np.random.default_rng(8)
-    n = 15000
-    edges = np.column_stack(
-        [rng.integers(n, size=40000), rng.integers(n, size=40000)]
-    )
-    g = build_graph(edges, mode=RAW_MULTISET, nodes=range(n))
-    base = knn_node(g, workers=1)
-    for workers in (2, 4, 8):
-        assert np.array_equal(knn_node(g, workers=workers), base, equal_nan=True)
-        assert assortativity(g, workers=workers) == assortativity(g, workers=1)

@@ -164,6 +164,17 @@ class TestClassify:
         tight = classify_performers(scores, {2: 1.0}, degrees, tolerance=1e-12)
         assert tight == [OVER, UNDER]
 
+    @pytest.mark.parametrize("tolerance", [-0.5, -1e-12, math.nan, math.inf])
+    def test_negative_or_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            classify_performers(np.array([1.0]), {1: 1.0}, np.array([1]), tolerance)
+
+    def test_zero_tolerance_splits_at_the_mean(self):
+        labels = classify_performers(
+            np.array([1.0, 1.0 + 1e-15, 1.0 - 1e-15]), {2: 1.0}, np.array([2, 2, 2]), 0.0
+        )
+        assert labels == [AT_PAR, OVER, UNDER]
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             classify_performers(np.array([1.0]), {1: 1.0}, np.array([1, 1]))
