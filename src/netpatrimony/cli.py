@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,21 +52,6 @@ REPORT_METRICS = (
 )
 _REPORT_COLUMNS = ["dataset", "mode", "status", *REPORT_METRICS, "consistency"]
 _DIFF_COLUMNS = [f"diff_{key}" for key in REPORT_METRICS]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective configuration of one CLI run, echoed to run_config.json."""
-
-    command: str
-    input_paths: list[str]
-    mode: str
-    density_convention: str
-    scale: str
-    output_dir: str | None
-    seed: int | None
-    tolerance: float
-    worker_count: int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,12 +115,24 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_run_config(outdir: Path, cfg: RunConfig) -> None:
-    _write_json(outdir / "run_config.json", asdict(cfg))
+def _write_run_config(args, outdir: Path, inputs: list, mode: str, seed=None) -> None:
+    """Echo the effective configuration of this run to run_config.json."""
+    config = {
+        "command": args.command,
+        "input_paths": [str(p) for p in inputs],
+        "mode": mode,
+        "density_convention": args.density_convention,
+        "scale": args.scale,
+        "output_dir": args.output_dir,
+        "seed": seed,
+        "tolerance": args.tolerance,
+        "worker_count": args.worker_count,
+    }
+    _write_json(outdir / "run_config.json", config)
 
 
-def _ensure_outdir(cfg: RunConfig) -> Path:
-    outdir = Path(cfg.output_dir)
+def _ensure_outdir(args) -> Path:
+    outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir
 
@@ -161,20 +157,6 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _config_from_args(args, inputs: list) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_paths=[str(p) for p in inputs],
-        mode=getattr(args, "mode", None),
-        density_convention=args.density_convention,
-        scale=args.scale,
-        output_dir=args.output_dir,
-        seed=getattr(args, "seed", None),
-        tolerance=args.tolerance,
-        worker_count=resolve_workers(args.worker_count),
-    )
-
-
 def _class_columns(g: Graph, class_means: dict[int, float]) -> list[np.ndarray]:
     """Degree, class size and mean columns of a per-degree-class table."""
     degrees = np.fromiter(class_means, dtype=np.int64, count=len(class_means))
@@ -183,16 +165,10 @@ def _class_columns(g: Graph, class_means: dict[int, float]) -> list[np.ndarray]:
     return [degrees, class_sizes[degrees], values]
 
 
-def _analyse(args) -> tuple[RunConfig, Path, Graph, graph.DegreeStats, metrics.KnnProfile]:
-    """Shared head of ``stats``/``knn``/``nip``: load the graph, take its
-    degree moments and one neighbour-degree profile, and write
-    summary.json and run_config.json."""
-    cfg = _config_from_args(args, [args.input])
-    g = load_graph(cfg.input_paths[0], mode=cfg.mode)
-    stats = degree_stats(g, density_convention=cfg.density_convention)
-    profile = metrics.knn_profile(g, stats=stats)
-    outdir = _ensure_outdir(cfg)
-    summary = {
+def _summary(stats: graph.DegreeStats, assortativity) -> dict:
+    """The network-level measures of one graph: summary.json's metrics and
+    the computed columns of a report row."""
+    return {
         "n": stats.node_count,
         "m": stats.edge_count,
         "mean_degree": stats.mean_degree,
@@ -200,19 +176,28 @@ def _analyse(args) -> tuple[RunConfig, Path, Graph, graph.DegreeStats, metrics.K
         "variance": stats.variance,
         "density": stats.density,
         "density_convention": stats.density_convention,
-        "knn_global": profile.knn_global,
-        "assortativity": _json_safe(profile.assortativity),
+        "knn_global": metrics.knn_global(stats),
+        "assortativity": assortativity,
         "nip_network": nip.nip_network(stats),
-        "scale": cfg.scale,
-        "mode": cfg.mode,
     }
-    _write_json(outdir / "summary.json", summary)
-    _write_run_config(outdir, cfg)
-    return cfg, outdir, g, stats, profile
+
+
+def _analyse(args) -> tuple[Path, Graph, graph.DegreeStats, metrics.KnnProfile]:
+    """Shared head of ``stats``/``knn``/``nip``: load the graph, take its
+    degree moments and one neighbour-degree profile, and write
+    summary.json and run_config.json."""
+    g = load_graph(args.input, mode=args.mode)
+    stats = degree_stats(g, density_convention=args.density_convention)
+    profile = metrics.knn_profile(g, stats=stats)
+    outdir = _ensure_outdir(args)
+    summary = _summary(stats, _json_safe(profile.assortativity))
+    _write_json(outdir / "summary.json", {**summary, "scale": args.scale, "mode": args.mode})
+    _write_run_config(args, outdir, [args.input], args.mode)
+    return outdir, g, stats, profile
 
 
 def cmd_stats(args) -> int:
-    _, outdir, g, _, _ = _analyse(args)
+    outdir, g, _, _ = _analyse(args)
     _write_csv(
         outdir / "degree_dist.csv",
         ["degree", "count"],
@@ -222,7 +207,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_knn(args) -> int:
-    _, outdir, g, _, profile = _analyse(args)
+    outdir, g, _, profile = _analyse(args)
     _write_csv(
         outdir / "knn_node.csv",
         ["node_label", "degree", "knn_i"],
@@ -237,9 +222,9 @@ def cmd_knn(args) -> int:
 
 
 def cmd_nip(args) -> int:
-    cfg, outdir, g, stats, profile = _analyse(args)
+    outdir, g, stats, profile = _analyse(args)
     scores = nip.nip_scores(
-        g, scale=cfg.scale, tolerance=cfg.tolerance, stats=stats, knn=profile
+        g, scale=args.scale, tolerance=args.tolerance, stats=stats, knn=profile
     )
     _write_csv(
         outdir / "nip_node.csv",
@@ -252,7 +237,7 @@ def cmd_nip(args) -> int:
             scores.nip_node,
             nip.node_class_means(scores.nip_class, g.degrees),
             scores.classification,
-            np.broadcast_to(np.array(cfg.scale), g.node_count),
+            np.broadcast_to(np.array(args.scale), g.node_count),
         ],
     )
     _write_csv(
@@ -268,17 +253,9 @@ def cmd_congen(args) -> int:
     spec = cg.DegreeSequenceSpec.from_json(spec_path.read_text(encoding="utf-8"))
     if args.seed is not None:
         spec = cg.DegreeSequenceSpec.from_dict({**spec.to_dict(), "seed": args.seed})
-    cfg = replace(
-        _config_from_args(args, [spec_path]),
-        mode=RAW_MULTISET if spec.simple_policy == cg.MULTIGRAPH else SIMPLE,
-        seed=spec.seed,
-    )
     sequence = cg.sample_degree_sequence(spec)
     if spec.simple_policy == cg.REJECT:
         # Fail fast with a diagnosis instead of burning shuffle attempts.
-        if int(sequence.sum()) % 2:
-            print("error: degree sum is odd; no matching exists", file=sys.stderr)
-            return 1
         k = cg.first_violated_prefix(sequence)
         if k is not None:
             print(
@@ -293,7 +270,7 @@ def cmd_congen(args) -> int:
         simple_policy=spec.simple_policy,
         max_attempts=spec.max_attempts,
     )
-    outdir = _ensure_outdir(cfg)
+    outdir = _ensure_outdir(args)
     write_edge_dump(g, outdir / "edges.txt")
     meta = {
         "spec": spec.to_dict(),
@@ -306,11 +283,11 @@ def cmd_congen(args) -> int:
     if "erased_edges" in info:
         meta["erased_edges"] = info["erased_edges"]
     _write_json(outdir / "meta.json", meta)
-    _write_run_config(outdir, cfg)
+    _write_run_config(args, outdir, [spec_path], g.mode, seed=spec.seed)
     return 0
 
 
-def _report_rows(path: Path, modes: list[str], cfg: RunConfig) -> list[dict]:
+def _report_rows(path: Path, modes: list[str], density_convention: str) -> list[dict]:
     """One row per mode for an edge file, parsed once; one SKIPPED row if
     the file is missing."""
     name = path.stem.lower()
@@ -318,27 +295,19 @@ def _report_rows(path: Path, modes: list[str], cfg: RunConfig) -> list[dict]:
         return [{"dataset": name, "mode": modes[0], "status": "SKIPPED"}]
     # Looked up on the module, so the benchmark's tracing hooks see them.
     edges = graph.load_edge_file(path)
-    return [_report_row(name, graph.build_graph(edges, mode=mode), cfg) for mode in modes]
+    return [
+        _report_row(name, graph.build_graph(edges, mode=mode), density_convention)
+        for mode in modes
+    ]
 
 
-def _report_row(name: str, g: Graph, cfg: RunConfig) -> dict:
-    stats = degree_stats(g, density_convention=cfg.density_convention)
-    row = {
-        "dataset": name,
-        "mode": g.mode,
-        "status": "OK",
-        "n": stats.node_count,
-        "m": stats.edge_count,
-        "density": stats.density,
-        "mean_degree": stats.mean_degree,
-        "mean_square_degree": stats.mean_square_degree,
-        "variance": stats.variance,
-        "assortativity": metrics.assortativity(g),
-        "nip_network": nip.nip_network(stats),
-    }
+def _report_row(name: str, g: Graph, density_convention: str) -> dict:
+    stats = degree_stats(g, density_convention=density_convention)
+    summary = _summary(stats, metrics.assortativity(g))
+    row = {"dataset": name, "mode": g.mode, "status": "OK", **summary}
     # nip_network is defined as 1 + knn_global, so this residual is zero by
     # construction; a nonzero value would flag an internal inconsistency.
-    row["consistency"] = row["nip_network"] - (1.0 + metrics.knn_global(stats))
+    row["consistency"] = row["nip_network"] - (1.0 + row["knn_global"])
     ref = AMAZON_REFERENCE.get(name)
     if ref is not None:
         for key in REPORT_METRICS:
@@ -368,19 +337,22 @@ def _print_report_table(rows: list[dict]) -> None:
 
 
 def cmd_report(args) -> int:
-    cfg = _config_from_args(args, args.inputs)
-    modes = [cfg.mode, *(m for m in MODES if args.both_modes and m != cfg.mode)]
-    rows = [row for path in cfg.input_paths for row in _report_rows(Path(path), modes, cfg)]
+    modes = [args.mode, *(m for m in MODES if args.both_modes and m != args.mode)]
+    rows = [
+        row
+        for path in args.inputs
+        for row in _report_rows(Path(path), modes, args.density_convention)
+    ]
     _print_report_table(rows)
-    if cfg.output_dir is not None:
-        outdir = _ensure_outdir(cfg)
+    if args.output_dir is not None:
+        outdir = _ensure_outdir(args)
         columns = [*_REPORT_COLUMNS, *_DIFF_COLUMNS]
         _write_csv(
             outdir / "report.csv",
             columns,
             [[row.get(c, "") for row in rows] for c in columns],
         )
-        _write_run_config(outdir, cfg)
+        _write_run_config(args, outdir, args.inputs, args.mode)
     if not any(row["status"] != "SKIPPED" for row in rows):
         return 3
     return 0
@@ -401,23 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="netpatrimony", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p_stats = sub.add_parser("stats", help="degree moments, density, summary scores")
-    p_stats.add_argument("input")
-    p_stats.add_argument("--output-dir", required=True)
-    _add_common(p_stats)
-    p_stats.set_defaults(func=cmd_stats)
-
-    p_knn = sub.add_parser("knn", help="per-node and per-class neighbour degrees")
-    p_knn.add_argument("input")
-    p_knn.add_argument("--output-dir", required=True)
-    _add_common(p_knn)
-    p_knn.set_defaults(func=cmd_knn)
-
-    p_nip = sub.add_parser("nip", help="per-node patrimony scores and classification")
-    p_nip.add_argument("input")
-    p_nip.add_argument("--output-dir", required=True)
-    _add_common(p_nip)
-    p_nip.set_defaults(func=cmd_nip)
+    for name, func, text in (
+        ("stats", cmd_stats, "degree moments, density, summary scores"),
+        ("knn", cmd_knn, "per-node and per-class neighbour degrees"),
+        ("nip", cmd_nip, "per-node patrimony scores and classification"),
+    ):
+        p_analysis = sub.add_parser(name, help=text)
+        p_analysis.add_argument("input")
+        p_analysis.add_argument("--output-dir", required=True)
+        _add_common(p_analysis)
+        p_analysis.set_defaults(func=func)
 
     p_congen = sub.add_parser("congen", help="sample a configuration-model graph")
     p_congen.add_argument("spec", help="degree-sequence spec JSON")
@@ -451,6 +416,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        args.worker_count = resolve_workers(args.worker_count)
         return args.func(args)
     except (OSError, ValueError) as exc:  # includes parse and config errors
         print(f"error: {exc}", file=sys.stderr)

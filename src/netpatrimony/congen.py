@@ -199,13 +199,9 @@ def is_graphical(degrees: Sequence[int] | np.ndarray) -> bool:
     The empty sequence and all-zero sequences are graphical.
     """
     d = np.asarray(degrees, dtype=np.int64)
-    if d.size == 0:
-        return True
     if (d < 0).any():
         raise ValueError("degrees must be non-negative")
-    if int(d.sum()) % 2:
-        return False
-    return bool((_eg_slack(np.sort(d)[::-1]) >= 0).all())
+    return int(d.sum()) % 2 == 0 and first_violated_prefix(d) is None
 
 
 def first_violated_prefix(degrees: Sequence[int] | np.ndarray) -> int | None:

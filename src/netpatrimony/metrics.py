@@ -72,13 +72,9 @@ def _class_means(degrees: np.ndarray, values: np.ndarray) -> dict[int, float]:
     Returns a dict keyed by degree in ascending order.  Averaging runs in
     node-index order, so it reproduces a plain loop over nodes exactly.
     """
-    occupied = degrees > 0
-    if not occupied.any():
-        return {}
-    counts = np.bincount(degrees[occupied])
-    totals = np.zeros(len(counts))
-    np.add.at(totals, degrees[occupied], values[occupied])
-    return {int(d): float(totals[d] / counts[d]) for d in np.flatnonzero(counts)}
+    counts = np.bincount(degrees)
+    totals = np.bincount(degrees, weights=values)
+    return {int(d): float(totals[d] / counts[d]) for d in np.flatnonzero(counts) if d >= 1}
 
 
 def knn_class(g: Graph, knn_node_values: np.ndarray) -> dict[int, float]:

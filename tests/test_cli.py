@@ -181,11 +181,62 @@ def test_bad_tolerance_is_usage_error(tmp_path, capsys, command, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-1e-12", "-inf"])
+def test_space_separated_negative_tolerance_is_usage_error(tmp_path, capsys, value):
+    """argparse takes a space-separated ``-1e-12`` for an option, so it fails
+    before the validator (only ``--tolerance=-1e-12`` reaches it); either
+    way the run exits 1 before any output is written."""
+    out = tmp_path / "o"
+    argv = ["nip", str(SIX_NODE_FILE), "--output-dir", str(out), "--tolerance", value]
+    assert main(argv) == 1
+    assert "argument --tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_tolerance_is_accepted(tmp_path):
     out = tmp_path / "o"
     argv = ["nip", str(SIX_NODE_FILE), "--output-dir", str(out), "--tolerance", "0"]
     assert main(argv) == 0
     assert read_json(out / "run_config.json")["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "command, extra, policy, mode, seed",
+    [
+        ("stats", [], None, SIMPLE, None),
+        ("report", ["--both-modes"], None, RAW_MULTISET, None),
+        ("congen", ["--seed", "9"], "ERASE", SIMPLE, 9),
+        ("congen", [], "MULTIGRAPH", RAW_MULTISET, 3),
+    ],
+    ids=["stats", "report", "congen-erase", "congen-multigraph"],
+)
+def test_run_config_echoes_every_key_in_order(
+    tmp_path, capsys, monkeypatch, command, extra, policy, mode, seed
+):
+    monkeypatch.delenv("NETPATRIMONY_WORKERS", raising=False)
+    source = str(SIX_NODE_FILE)
+    if policy is not None:
+        source = str(tmp_path / "spec.json")
+        Path(source).write_text(
+            json.dumps(
+                {"source": "EXPLICIT", "params": {"degrees": [2, 2, 2]}, "seed": 3,
+                 "simple_policy": policy}
+            )
+        )
+    out = str(tmp_path / "out")
+    assert main([command, *extra, source, "--output-dir", out]) == 0
+    capsys.readouterr()
+    assert list(read_json(tmp_path / "out" / "run_config.json").items()) == [
+        ("command", command),
+        ("input_paths", [source]),
+        ("mode", mode),
+        ("density_convention", "TABLE1"),
+        ("scale", "NORMALIZED"),
+        ("output_dir", out),
+        ("seed", seed),
+        ("tolerance", 1e-9),
+        ("worker_count", 1),
+    ]
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -423,9 +474,11 @@ class TestCongenCommand:
         assert main(["congen", str(spec), "--output-dir", str(tmp_path / "o")]) == 1
         assert "not graphical" in capsys.readouterr().err
 
-    def test_odd_sum_is_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("policy", ["MULTIGRAPH", "REJECT"])
+    def test_odd_sum_is_input_error(self, tmp_path, capsys, policy):
         spec = self.write_spec(
-            tmp_path, {"source": "EXPLICIT", "params": {"degrees": [1, 1, 1]}}
+            tmp_path,
+            {"source": "EXPLICIT", "params": {"degrees": [1, 1, 1]}, "simple_policy": policy},
         )
         assert main(["congen", str(spec), "--output-dir", str(tmp_path / "o")]) == 1
         assert "even" in capsys.readouterr().err
