@@ -77,16 +77,28 @@ def _json_safe(value):
 
 
 #: Rows formatted per batch by ``_write_csv``; bounds the temporary
-#: Python strings alive at once.  Each batch's cells go straight into
-#: ``writerows`` so they are freed before the next batch is built.
+#: Python strings alive at once.  Each batch is joined and written before
+#: the next one is built.
 _CSV_CHUNK = 4096
 
 
+def _quote(cell: str) -> str:
+    """A cell as ``csv.QUOTE_MINIMAL`` writes it: quoted, with inner quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _column_cells(column) -> list[str]:
-    """CSV cells of one column as ``_fmt`` gives them; arrays are formatted
-    in bulk (``"%.6g" %`` equals ``format(x, ".6g")`` and is faster)."""
+    """CSV cells of one column as ``_fmt`` gives them.  Lists of Python
+    values are formatted and quoted one by one.  Arrays are formatted in
+    bulk (``"%.6g" %`` equals ``format(x, ".6g")`` and is faster) and never
+    quoted; an array of text holds finished cells."""
     if not isinstance(column, np.ndarray):
-        return [_fmt(value) for value in column]
+        return [_quote(_fmt(value)) for value in column]
+    if column.dtype.kind in "OU":
+        return column.tolist()
     if column.dtype.kind != "f":
         return list(map(str, column.tolist()))
     cells = list(map("%.6g".__mod__, column.tolist()))
@@ -95,18 +107,24 @@ def _column_cells(column) -> list[str]:
     return cells
 
 
-def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """Write equal-length columns (numpy arrays or lists) under ``header``."""
-    import csv
+def _degree_cells(g: Graph, values: np.ndarray) -> np.ndarray:
+    """Cells of a per-node column whose value depends only on the node's
+    degree: formatted once per distinct degree, then indexed by degree."""
+    node_of_degree = np.zeros(int(g.degrees.max(initial=0)) + 1, dtype=np.int64)
+    node_of_degree[g.degrees] = np.arange(g.node_count)
+    cells = np.array(_column_cells(values[node_of_degree]), dtype=object)
+    return cells[g.degrees]
 
+
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write equal-length columns (numpy arrays or lists) under ``header``
+    in the bytes ``csv.writer`` writes: CRLF line ends, minimal quoting."""
     rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for lo in range(0, rows, _CSV_CHUNK):
-            writer.writerows(
-                zip(*[_column_cells(col[lo : lo + _CSV_CHUNK]) for col in columns])
-            )
+            cells = [_column_cells(col[lo : lo + _CSV_CHUNK]) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -201,7 +219,7 @@ def cmd_stats(args) -> int:
     _write_csv(
         outdir / "degree_dist.csv",
         ["degree", "count"],
-        list(np.unique(g.degrees, return_counts=True)),
+        list(metrics.degree_histogram(g.degrees)),
     )
     return 0
 
@@ -233,11 +251,11 @@ def cmd_nip(args) -> int:
             g.node_labels,
             g.degrees,
             profile.knn_node,
-            scores.ip,
+            _degree_cells(g, scores.ip),
             scores.nip_node,
-            nip.node_class_means(scores.nip_class, g.degrees),
+            _degree_cells(g, nip.node_class_means(scores.nip_class, g.degrees)),
             scores.classification,
-            np.broadcast_to(np.array(args.scale), g.node_count),
+            np.broadcast_to(np.array(args.scale, dtype=object), g.node_count),
         ],
     )
     _write_csv(
@@ -289,8 +307,10 @@ def cmd_congen(args) -> int:
 
 def _report_rows(path: Path, modes: list[str], density_convention: str) -> list[dict]:
     """One row per mode for an edge file, parsed once; one SKIPPED row if
-    the file is missing."""
-    name = path.stem.lower()
+    the file is missing.  The dataset is named by the file's stem, taken
+    after a compression suffix is stripped."""
+    base = path.with_suffix("") if path.suffix in graph._DECOMPRESSORS else path
+    name = base.stem.lower()
     if not path.is_file():
         return [{"dataset": name, "mode": modes[0], "status": "SKIPPED"}]
     # Looked up on the module, so the benchmark's tracing hooks see them.

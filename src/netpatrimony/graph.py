@@ -129,6 +129,12 @@ class DegreeStats:
     density_convention: str
 
 
+def _index_dtype(n: int) -> np.dtype:
+    """The integer dtype of internal ids and ``indices`` for ``n`` nodes:
+    int32 when every id fits, else int64."""
+    return np.dtype(np.int32) if n < 2**31 else np.dtype(np.int64)
+
+
 def _first_appearance_ids(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map 1-D integer labels to 0..n-1 in order of first appearance.
 
@@ -136,17 +142,27 @@ def _first_appearance_ids(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of ``labels[i]`` and ``ordered_labels[k]`` is the original label of
     internal index k.  One sort groups equal labels; each group's smallest
     original position is its first appearance, so the sort need not be
-    stable.
+    stable.  ``ids`` has ``_index_dtype(len(labels))``.
     """
-    order = np.argsort(labels)
-    starts = _group_starts(labels[order])
+    dtype = _index_dtype(len(labels))
+    order = np.argsort(labels).astype(dtype, copy=False)
+    sorted_labels = labels[order]
+    starts = _group_starts(sorted_labels)
+    del sorted_labels
     first_pos = np.minimum.reduceat(order, np.flatnonzero(starts))
     is_first = np.zeros(len(labels), dtype=bool)
     is_first[first_pos] = True
-    rank = (np.cumsum(is_first) - 1)[first_pos]
-    ids = np.empty(len(labels), dtype=np.int64)
-    ids[order] = rank[np.cumsum(starts) - 1]
-    return ids, labels[is_first]
+    ordered_labels = labels[is_first]
+    rank = np.cumsum(is_first, dtype=dtype)
+    del is_first
+    rank = rank[first_pos] - 1
+    del first_pos
+    group = np.cumsum(starts, dtype=dtype)
+    del starts
+    group -= 1
+    ids = np.empty(len(labels), dtype=dtype)
+    ids[order] = rank[group]
+    return ids, ordered_labels
 
 
 def _group_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -168,19 +184,29 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[_group_starts(keys)]
 
 
-def _csr_from_pairs(
-    src: np.ndarray, dst: np.ndarray, n: int
+def _csr_from_edges(
+    a: np.ndarray, b: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build (indptr, indices, degrees) from directed entry pairs.
+    """Build (indptr, indices, degrees) from the endpoints of each edge.
 
-    Sorting the packed keys ``src*n + dst`` orders the entries by row and
-    each row's neighbours ascending.
+    Both orientations' packed keys ``a*n + b`` and ``b*n + a`` go into one
+    buffer; sorting it orders the entries by row and each row's
+    neighbours ascending.
     """
-    key = src * np.int64(n) + dst
+    n64 = np.int64(n)
+    m = len(a)
+    key = np.empty(2 * m, dtype=np.int64)
+    np.multiply(a, n64, out=key[:m])
+    key[:m] += b
+    np.multiply(b, n64, out=key[m:])
+    key[m:] += a
     key.sort()
-    degrees = np.bincount(src, minlength=n).astype(np.int64)
-    indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
-    return indptr, key % n, degrees
+    degrees = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = np.empty(2 * m, dtype=_index_dtype(n))
+    np.remainder(key, n64, out=indices, casting="unsafe")
+    return indptr, indices, degrees
 
 
 def build_graph(
@@ -224,25 +250,32 @@ def build_graph(
     if pairs.shape[0] == 0 and extra.size == 0:
         raise ValueError("empty edge list and no nodes given: graph is undefined")
 
-    flat = np.concatenate([extra, pairs.reshape(-1)])
+    # Without extra nodes the endpoints are read in place, not copied.
+    flat = np.concatenate([extra, pairs.reshape(-1)]) if extra.size else pairs.reshape(-1)
     ids_flat, labels = _first_appearance_ids(flat)
+    del flat
     ids = ids_flat[extra.size :].reshape(pairs.shape)
     n = len(labels)
 
     if mode == RAW_MULTISET:
         a, b = ids[:, 0], ids[:, 1]
-        m = int(pairs.shape[0])
     else:
         keep = ids[:, 0] != ids[:, 1]
-        lo = np.minimum(ids[keep, 0], ids[keep, 1])
-        hi = np.maximum(ids[keep, 0], ids[keep, 1])
-        key = sorted_unique(lo * np.int64(n) + hi)
-        a, b = key // n, key % n
-        m = int(len(key))
-
-    src = np.concatenate([a, b])
-    dst = np.concatenate([b, a])
-    indptr, indices, degrees = _csr_from_pairs(src, dst, n)
+        u, v = ids[keep, 0], ids[keep, 1]
+        del keep
+        key = np.minimum(u, v) * np.int64(n)
+        key += np.maximum(u, v)
+        del u, v
+        key.sort()
+        key = key[_group_starts(key)]
+        a = np.empty(len(key), dtype=_index_dtype(n))
+        b = np.empty(len(key), dtype=_index_dtype(n))
+        np.floor_divide(key, n, out=a, casting="unsafe")
+        np.remainder(key, n, out=b, casting="unsafe")
+        del key
+    del ids
+    indptr, indices, degrees = _csr_from_edges(a, b, n)
+    m = len(a)
     for arr in (indptr, indices, degrees, labels):
         arr.setflags(write=False)
     return Graph(
@@ -435,11 +468,12 @@ def edge_dump_lines(g: Graph) -> list[str]:
 
 
 def write_edge_dump(g: Graph, path: str | Path) -> None:
-    """Write ``edge_dump_lines(g)`` to ``path``, one edge per line."""
+    """Write ``edge_dump_lines(g)`` to ``path``, one edge per line, each
+    ``_DUMP_CHUNK`` of lines in one write."""
+    lines = edge_dump_lines(g)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in edge_dump_lines(g):
-            fh.write(line)
-            fh.write("\n")
+        for lo in range(0, len(lines), _DUMP_CHUNK):
+            fh.write("\n".join(lines[lo : lo + _DUMP_CHUNK]) + "\n")
 
 
 def same_labelled_graph(g1: Graph, g2: Graph) -> bool:

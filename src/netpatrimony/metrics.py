@@ -83,9 +83,16 @@ def knn_class(g: Graph, knn_node_values: np.ndarray) -> dict[int, float]:
     return _class_means(g.degrees, knn_node_values)
 
 
+def degree_histogram(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The occurring degrees in ascending order and the node count of each."""
+    counts = np.bincount(degrees)
+    occurring = np.flatnonzero(counts)
+    return occurring, counts[occurring]
+
+
 def _exact_power_sums(degrees: np.ndarray) -> tuple[int, int]:
     """(sum d^2, sum d^3) as exact Python integers."""
-    uniq, cnt = np.unique(degrees, return_counts=True)
+    uniq, cnt = degree_histogram(degrees)
     s2 = sum(int(c) * int(d) ** 2 for d, c in zip(uniq, cnt))
     s3 = sum(int(c) * int(d) ** 3 for d, c in zip(uniq, cnt))
     return s2, s3

@@ -48,7 +48,7 @@ class NipScores:
     nip_network: float
     nip_node: np.ndarray = field(repr=False)
     nip_class: dict[int, float] = field(repr=False)
-    classification: list[str] = field(repr=False)
+    classification: np.ndarray = field(repr=False)
     scale: str
 
 
@@ -123,13 +123,14 @@ def classify_performers(
     class_means: dict[int, float],
     degrees: np.ndarray,
     tolerance: float = DEFAULT_TOLERANCE,
-) -> list[str]:
+) -> np.ndarray:
     """Label each node OVER, UNDER or AT_PAR against its degree-class mean.
 
     A node is AT_PAR when its score lies within ``tolerance`` (relative) of
     the class mean, OVER above that band, UNDER below it.  Isolated nodes
-    are labelled UNDEFINED.  Raises ValueError when the two arrays differ
-    in length or ``tolerance`` is negative or not finite.
+    are labelled UNDEFINED.  Returns the labels as a string array in node
+    order.  Raises ValueError when the two arrays differ in length or
+    ``tolerance`` is negative or not finite.
     """
     check_tolerance(tolerance)
     nip_node = np.asarray(nip_node, dtype=float)
@@ -138,8 +139,6 @@ def classify_performers(
         raise ValueError(
             f"score/degree length mismatch: {len(nip_node)} vs {len(degrees)}"
         )
-    if len(degrees) == 0:
-        return []
     base = node_class_means(class_means, degrees)
     with np.errstate(invalid="ignore"):
         labels = np.select(
@@ -151,7 +150,7 @@ def classify_performers(
             [UNDEFINED, OVER, UNDER],
             default=AT_PAR,
         )
-    return labels.tolist()
+    return labels
 
 
 def nip_scores(

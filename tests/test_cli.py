@@ -21,6 +21,7 @@ from netpatrimony import (
     load_graph,
     nip_scores,
 )
+from netpatrimony import cli
 from netpatrimony.cli import main
 from conftest import SIX_NODE_FILE, require_amazon
 
@@ -339,6 +340,21 @@ def test_report_csv_bytes_match_row_wise_writer(tmp_path, capsys):
     assert b'\r\n"net,work",RAW_MULTISET,NO_REFERENCE,' in got
 
 
+def test_write_csv_quotes_list_cells_like_csv_writer(tmp_path, monkeypatch):
+    """List cells holding quotes, commas and line breaks, next to array
+    columns, across several row batches."""
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 2)
+    texts = ['say "hi"', "a,b", "two\nlines", "cr\rhere", "", 'x,"y"\n', "plain"]
+    floats = np.array([0.5, np.nan, 1e-7, 123456789.0, -2.0, 3.25, np.inf])
+    ints = np.array([1, -2, 2**62, 0, 5, 6, -(2**63)])
+    header = ["text", "float", "int", "mixed"]
+    mixed = [1.5, float("nan"), 7, "t,u", "", "v", 'w"']
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, header, [texts, floats, ints, mixed])
+    rows = zip(texts, floats.tolist(), ints.tolist(), mixed)
+    assert path.read_bytes() == oracles.csv_bytes(header, rows)
+
+
 def test_missing_input_is_input_error(tmp_path, capsys):
     assert main(["stats", str(tmp_path / "no.txt"), "--output-dir", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
@@ -535,6 +551,21 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert out.count("six_node") == 2
         assert "SIMPLE" in out
+
+    @pytest.mark.parametrize(
+        "suffix, opener", [(".gz", gzip.open), (".bz2", bz2.open), (".xz", lzma.open)]
+    )
+    def test_compressed_file_is_named_by_its_dataset(self, tmp_path, capsys, suffix, opener):
+        path = tmp_path / f"amazon0302.txt{suffix}"
+        with opener(path, "wt") as fh:
+            fh.write(SIX_NODE_FILE.read_text())
+        out = tmp_path / "out"
+        assert main(["report", str(path), "--output-dir", str(out)]) == 0
+        header, data = read_csv(out / "report.csv")
+        row = dict(zip(header, data))
+        assert (row["dataset"], row["status"]) == ("amazon0302", "OK")
+        assert row["diff_n"] == str(6 - 262111)
+        assert "deviation from embedded reference values" in capsys.readouterr().out
 
     def test_report_reruns_byte_identical(self, tmp_path, capsys):
         outs = [tmp_path / "a", tmp_path / "b"]

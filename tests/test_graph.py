@@ -14,8 +14,10 @@ from netpatrimony import (
     load_graph,
     parse_edge_lines,
     same_labelled_graph,
+    write_edge_dump,
 )
-from netpatrimony.graph import _first_appearance_ids, load_edge_file
+from netpatrimony import graph as graph_module
+from netpatrimony.graph import _first_appearance_ids, _index_dtype, load_edge_file
 from conftest import SIX_NODE_FILE
 
 I64_MIN, I64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -133,6 +135,44 @@ def test_structure_matches_oracle_on_random_graphs(multiset):
             assert row == sorted(row)
             for j in range(n):
                 assert row.count(j) == int(a[i, j])
+
+
+def test_index_dtype_switches_at_two_to_the_31():
+    assert _index_dtype(0) == np.int32
+    assert _index_dtype(2**31 - 1) == np.int32
+    assert _index_dtype(2**31) == np.int64
+
+
+@pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
+def test_build_matches_oracle_on_relabelled_graphs(mode):
+    """Random labels (int64 extremes included), extra ``nodes`` that stay
+    isolated, and edgeless graphs with nodes, against a dict relabelling
+    and the dense oracle; ids and ``indices`` are int32, the rest int64."""
+    rng = np.random.default_rng(707)
+    multiset = mode == RAW_MULTISET
+    for _ in range(200):
+        pool = np.unique(
+            np.concatenate([[I64_MIN, I64_MAX, -1, 0], rng.integers(I64_MIN, I64_MAX, 20)])
+        )
+        n_edge_nodes = int(rng.integers(1, 10))
+        labels = rng.permutation(pool)[: n_edge_nodes + 3].tolist()
+        local = oracles.random_edge_list(rng, n_edge_nodes, multiset, allow_empty=True)
+        edges = [(labels[u], labels[v]) for u, v in local]
+        nodes = rng.permutation(labels)[: int(rng.integers(0 if edges else 1, len(labels)))]
+        nodes = nodes.tolist()
+        index = {}
+        for label in nodes + [x for e in edges for x in e]:
+            index.setdefault(label, len(index))
+        n = len(index)
+        g = build_graph(edges, mode=mode, nodes=nodes)
+        a = oracles.adjacency_matrix([(index[u], index[v]) for u, v in edges], n, multiset)
+        assert g.node_labels.tolist() == list(index)
+        assert g.degrees.tolist() == oracles.degrees_of(a)
+        assert g.edge_count == oracles.edge_count_of(a)
+        for i in range(n):
+            assert g.neighbors(i).tolist() == [j for j in range(n) for _ in range(int(a[i, j]))]
+        assert (g.indices.dtype, g.indptr.dtype, g.degrees.dtype) == (np.int32, np.int64, np.int64)
+        assert g.node_labels.dtype == np.int64
 
 
 class TestParsing:
@@ -293,6 +333,16 @@ class TestEdgeDump:
                 parse_edge_lines(edge_dump_lines(g)), mode=mode, nodes=range(n)
             )
             assert same_labelled_graph(g, rebuilt)
+
+    def test_written_dump_is_the_lines_in_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph_module, "_DUMP_CHUNK", 3)
+        for k in (0, 1, 3, 4, 7):
+            g = build_graph([(i, i + 1) for i in range(k)], mode=RAW_MULTISET, nodes=[0])
+            path = tmp_path / f"dump{k}.txt"
+            write_edge_dump(g, path)
+            lines = edge_dump_lines(g)
+            assert len(lines) == k
+            assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
     def test_simple_rebuild_is_idempotent(self):
         rng = np.random.default_rng(5)
