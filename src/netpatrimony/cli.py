@@ -82,23 +82,32 @@ def _json_safe(value):
 _CSV_CHUNK = 4096
 
 
+def _needs_quotes(text: str) -> bool:
+    """Whether ``text`` holds a comma, a quote or a line break."""
+    return any(c in text for c in ',"\r\n')
+
+
 def _quote(cell: str) -> str:
     """A cell as ``csv.QUOTE_MINIMAL`` writes it: quoted, with inner quotes
-    doubled, when it holds a comma, a quote or a line break."""
-    if any(c in cell for c in ',"\r\n'):
+    doubled, when it needs quotes."""
+    if _needs_quotes(cell):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
 
 def _column_cells(column) -> list[str]:
-    """CSV cells of one column as ``_fmt`` gives them.  Lists of Python
-    values are formatted and quoted one by one.  Arrays are formatted in
-    bulk (``"%.6g" %`` equals ``format(x, ".6g")`` and is faster) and never
-    quoted; an array of text holds finished cells."""
+    """CSV cells of one column as ``_fmt`` gives them, text quoted by
+    ``_quote``.  A text array's cells are quoted only when their
+    concatenation needs quotes, so one scan clears a batch of plain
+    labels.  Numeric arrays are formatted in bulk (``"%.6g" %`` equals
+    ``format(x, ".6g")`` and is faster) and never need quotes."""
     if not isinstance(column, np.ndarray):
         return [_quote(_fmt(value)) for value in column]
     if column.dtype.kind in "OU":
-        return column.tolist()
+        cells = column.tolist()
+        if _needs_quotes("".join(cells)):
+            cells = list(map(_quote, cells))
+        return cells
     if column.dtype.kind != "f":
         return list(map(str, column.tolist()))
     cells = list(map("%.6g".__mod__, column.tolist()))
@@ -107,13 +116,16 @@ def _column_cells(column) -> list[str]:
     return cells
 
 
-def _degree_cells(g: Graph, values: np.ndarray) -> np.ndarray:
+def _degree_cells(
+    degrees: np.ndarray, classes: np.ndarray, values: np.ndarray
+) -> np.ndarray:
     """Cells of a per-node column whose value depends only on the node's
-    degree: formatted once per distinct degree, then indexed by degree."""
-    node_of_degree = np.zeros(int(g.degrees.max(initial=0)) + 1, dtype=np.int64)
-    node_of_degree[g.degrees] = np.arange(g.node_count)
-    cells = np.array(_column_cells(values[node_of_degree]), dtype=object)
-    return cells[g.degrees]
+    degree, ``values[k]`` being the value at degree ``classes[k]``.  Each
+    value is formatted once and every node takes its degree's cell; a
+    degree missing from ``classes`` gets an empty cell."""
+    table = np.full(int(degrees.max(initial=0)) + 1, "", dtype=object)
+    table[classes] = _column_cells(values)
+    return table[degrees]
 
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
@@ -244,6 +256,12 @@ def cmd_nip(args) -> int:
     scores = nip.nip_scores(
         g, scale=args.scale, tolerance=args.tolerance, stats=stats, knn=profile
     )
+    # ip_i depends only on d_i: read it off one node of each occurring degree.
+    occurring, _ = metrics.degree_histogram(g.degrees)
+    node_of_degree = np.zeros(int(g.degrees.max(initial=0)) + 1, dtype=np.int64)
+    node_of_degree[g.degrees] = np.arange(g.node_count)
+    class_degrees = np.fromiter(scores.nip_class, dtype=np.int64)
+    class_values = np.fromiter(scores.nip_class.values(), dtype=float)
     _write_csv(
         outdir / "nip_node.csv",
         ["node_label", "degree", "knn_i", "ip", "nip", "class_nip", "classification", "scale"],
@@ -251,9 +269,9 @@ def cmd_nip(args) -> int:
             g.node_labels,
             g.degrees,
             profile.knn_node,
-            _degree_cells(g, scores.ip),
+            _degree_cells(g.degrees, occurring, scores.ip[node_of_degree[occurring]]),
             scores.nip_node,
-            _degree_cells(g, nip.node_class_means(scores.nip_class, g.degrees)),
+            _degree_cells(g.degrees, class_degrees, class_values),
             scores.classification,
             np.broadcast_to(np.array(args.scale, dtype=object), g.node_count),
         ],

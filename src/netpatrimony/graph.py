@@ -70,8 +70,10 @@ class Graph:
         in its node's row, so ``len(indices) == 2 * edge_count`` and row
         lengths equal degrees.  Construction sorts packed ``i*n + j`` int64
         keys, which needs ``n**2 < 2**63`` (n below about 3.04e9).
+        ``indices`` is int32 when ``n < 2**31`` and int64 otherwise;
+        ``indptr`` is always int64.
     degrees : np.ndarray
-        Degree of each node (row length in the CSR arrays).
+        Degree of each node (row length in the CSR arrays), int64.
     node_labels : np.ndarray
         Original external identifier for each internal index.
     mode : str
@@ -193,19 +195,20 @@ def _csr_from_edges(
     buffer; sorting it orders the entries by row and each row's
     neighbours ascending.
     """
-    n64 = np.int64(n)
     m = len(a)
     key = np.empty(2 * m, dtype=np.int64)
-    np.multiply(a, n64, out=key[:m])
+    # dtype= keeps the products 64-bit: numpy 1.x would multiply int32 ids
+    # by a scalar in int32 and wrap above about 46341 nodes.
+    np.multiply(a, n, out=key[:m], dtype=np.int64)
     key[:m] += b
-    np.multiply(b, n64, out=key[m:])
+    np.multiply(b, n, out=key[m:], dtype=np.int64)
     key[m:] += a
     key.sort()
     degrees = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     indices = np.empty(2 * m, dtype=_index_dtype(n))
-    np.remainder(key, n64, out=indices, casting="unsafe")
+    np.remainder(key, n, out=indices, casting="unsafe")
     return indptr, indices, degrees
 
 
@@ -263,7 +266,9 @@ def build_graph(
         keep = ids[:, 0] != ids[:, 1]
         u, v = ids[keep, 0], ids[keep, 1]
         del keep
-        key = np.minimum(u, v) * np.int64(n)
+        # 64-bit before the product, as in _csr_from_edges.
+        key = np.minimum(u, v, dtype=np.int64)
+        key *= n
         key += np.maximum(u, v)
         del u, v
         key.sort()

@@ -134,7 +134,7 @@ def classify_performers(
     """
     check_tolerance(tolerance)
     nip_node = np.asarray(nip_node, dtype=float)
-    degrees = np.asarray(degrees)
+    degrees = np.asarray(degrees, dtype=np.int64)
     if len(nip_node) != len(degrees):
         raise ValueError(
             f"score/degree length mismatch: {len(nip_node)} vs {len(degrees)}"

@@ -340,18 +340,24 @@ def test_report_csv_bytes_match_row_wise_writer(tmp_path, capsys):
     assert b'\r\n"net,work",RAW_MULTISET,NO_REFERENCE,' in got
 
 
-def test_write_csv_quotes_list_cells_like_csv_writer(tmp_path, monkeypatch):
-    """List cells holding quotes, commas and line breaks, next to array
-    columns, across several row batches."""
+def test_write_csv_quotes_text_cells_like_csv_writer(tmp_path, monkeypatch):
+    """Text cells holding quotes, commas and line breaks, in lists and in
+    str and object arrays, next to numeric arrays, across several row
+    batches, one of which holds only text that needs no quotes."""
     monkeypatch.setattr(cli, "_CSV_CHUNK", 2)
     texts = ['say "hi"', "a,b", "two\nlines", "cr\rhere", "", 'x,"y"\n', "plain"]
     floats = np.array([0.5, np.nan, 1e-7, 123456789.0, -2.0, 3.25, np.inf])
     ints = np.array([1, -2, 2**62, 0, 5, 6, -(2**63)])
-    header = ["text", "float", "int", "mixed"]
+    header = ["text", "float", "int", "mixed", "str_array", "object_array"]
     mixed = [1.5, float("nan"), 7, "t,u", "", "v", 'w"']
+    reversed_texts = texts[::-1]
     path = tmp_path / "t.csv"
-    cli._write_csv(path, header, [texts, floats, ints, mixed])
-    rows = zip(texts, floats.tolist(), ints.tolist(), mixed)
+    cli._write_csv(
+        path,
+        header,
+        [texts, floats, ints, mixed, np.array(texts), np.array(reversed_texts, dtype=object)],
+    )
+    rows = zip(texts, floats.tolist(), ints.tolist(), mixed, texts, reversed_texts)
     assert path.read_bytes() == oracles.csv_bytes(header, rows)
 
 

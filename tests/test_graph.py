@@ -175,6 +175,27 @@ def test_build_matches_oracle_on_relabelled_graphs(mode):
         assert g.node_labels.dtype == np.int64
 
 
+@pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
+def test_packed_keys_do_not_wrap_past_46341_nodes(mode):
+    """Above about 46341 nodes an int32 ``id * n`` overflows; the packed
+    keys must be computed in 64 bits whatever numpy's promotion rules."""
+    rng = np.random.default_rng(46341)
+    n = 50_000
+    edges = rng.integers(n - 2_000, n, size=(3_000, 2))
+    edges[:5] = [[n - 1, n - 2], [n - 2, n - 1], [n - 1, n - 1], [0, n - 1], [n - 1, n - 2]]
+    g = build_graph(edges, mode=mode, nodes=range(n))
+    rows = [[] for _ in range(n)]
+    pairs = [(int(u), int(v)) for u, v in edges]
+    if mode == SIMPLE:
+        pairs = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    for u, v in pairs:
+        rows[u].append(v)
+        rows[v].append(u)
+    assert g.edge_count == len(pairs)
+    assert g.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+    assert g.indices.tolist() == [j for r in rows for j in sorted(r)]
+
+
 class TestParsing:
     def test_six_node_file(self, six_node_simple):
         g = load_graph(SIX_NODE_FILE)

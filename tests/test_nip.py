@@ -184,3 +184,11 @@ class TestClassify:
             np.array([0.0, 0.5]), {1: 0.5}, np.array([0, 1])
         )
         assert labels.tolist() == [UNDEFINED, AT_PAR]
+
+    def test_empty_and_list_inputs(self):
+        empty = classify_performers([], {}, [])
+        assert isinstance(empty, np.ndarray) and empty.tolist() == []
+        assert classify_performers([0.0, 0.5], {1: 0.5}, [0, 1]).tolist() == [
+            UNDEFINED,
+            AT_PAR,
+        ]
