@@ -195,9 +195,9 @@ def _class_columns(g: Graph, class_means: dict[int, float]) -> list[np.ndarray]:
     return [degrees, class_sizes[degrees], values]
 
 
-def _summary(stats: graph.DegreeStats, assortativity) -> dict:
-    """The network-level measures of one graph: summary.json's metrics and
-    the computed columns of a report row."""
+def _moments(stats: graph.DegreeStats) -> dict:
+    """Size, degree moments and density of one graph, defined with or
+    without edges."""
     return {
         "n": stats.node_count,
         "m": stats.edge_count,
@@ -206,6 +206,14 @@ def _summary(stats: graph.DegreeStats, assortativity) -> dict:
         "variance": stats.variance,
         "density": stats.density,
         "density_convention": stats.density_convention,
+    }
+
+
+def _summary(stats: graph.DegreeStats, assortativity) -> dict:
+    """The network-level measures of one graph: summary.json's metrics and
+    the computed columns of a report row."""
+    return {
+        **_moments(stats),
         "knn_global": metrics.knn_global(stats),
         "assortativity": assortativity,
         "nip_network": nip.nip_network(stats),
@@ -341,6 +349,9 @@ def _report_rows(path: Path, modes: list[str], density_convention: str) -> list[
 
 def _report_row(name: str, g: Graph, density_convention: str) -> dict:
     stats = degree_stats(g, density_convention=density_convention)
+    if g.edge_count == 0:
+        # knn_global, assortativity and nip_network need an edge.
+        return {"dataset": name, "mode": g.mode, "status": "NO_EDGES", **_moments(stats)}
     summary = _summary(stats, metrics.assortativity(g))
     row = {"dataset": name, "mode": g.mode, "status": "OK", **summary}
     # nip_network is defined as 1 + knn_global, so this residual is zero by

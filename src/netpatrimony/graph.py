@@ -10,8 +10,9 @@ under one of two preprocessing modes:
     arithmetic of treating a directed edge dump as a plain line count.
 
 ``SIMPLE``
-    Input pairs are symmetrized, self-loops are dropped and duplicates are
-    collapsed, yielding a simple undirected graph.
+    The RAW_MULTISET adjacency with the self-loop entries removed and
+    repeated neighbour entries collapsed, so a repeated line and its
+    reversed line both become one edge: a simple undirected graph.
 
 Node identifiers in the input may be arbitrary (non-contiguous) integers;
 they are mapped to contiguous internal indices ``0..n-1`` in order of first
@@ -68,8 +69,10 @@ class Graph:
         ``indices[indptr[i]:indptr[i+1]]``, in ascending order.  Both
         endpoints of every edge are stored, and a self-loop appears twice
         in its node's row, so ``len(indices) == 2 * edge_count`` and row
-        lengths equal degrees.  Construction sorts packed ``i*n + j`` int64
-        keys, which needs ``n**2 < 2**63`` (n below about 3.04e9).
+        lengths equal degrees.  In SIMPLE mode the arrays are the
+        RAW_MULTISET ones without self-loop entries and with each repeated
+        entry of a row kept once.  Construction sorts packed ``i*n + j``
+        int64 keys, which needs ``n**2 < 2**63`` (n below about 3.04e9).
         ``indices`` is int32 when ``n < 2**31`` and int64 otherwise;
         ``indptr`` is always int64.
     degrees : np.ndarray
@@ -186,32 +189,6 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[_group_starts(keys)]
 
 
-def _csr_from_edges(
-    a: np.ndarray, b: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build (indptr, indices, degrees) from the endpoints of each edge.
-
-    Both orientations' packed keys ``a*n + b`` and ``b*n + a`` go into one
-    buffer; sorting it orders the entries by row and each row's
-    neighbours ascending.
-    """
-    m = len(a)
-    key = np.empty(2 * m, dtype=np.int64)
-    # dtype= keeps the products 64-bit: numpy 1.x would multiply int32 ids
-    # by a scalar in int32 and wrap above about 46341 nodes.
-    np.multiply(a, n, out=key[:m], dtype=np.int64)
-    key[:m] += b
-    np.multiply(b, n, out=key[m:], dtype=np.int64)
-    key[m:] += a
-    key.sort()
-    degrees = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = np.empty(2 * m, dtype=_index_dtype(n))
-    np.remainder(key, n, out=indices, casting="unsafe")
-    return indptr, indices, degrees
-
-
 def build_graph(
     edges: Iterable[tuple[int, int]] | np.ndarray,
     mode: str = SIMPLE,
@@ -255,37 +232,39 @@ def build_graph(
 
     # Without extra nodes the endpoints are read in place, not copied.
     flat = np.concatenate([extra, pairs.reshape(-1)]) if extra.size else pairs.reshape(-1)
-    ids_flat, labels = _first_appearance_ids(flat)
+    ids, labels = _first_appearance_ids(flat)
     del flat
-    ids = ids_flat[extra.size :].reshape(pairs.shape)
+    ids = ids[extra.size :].reshape(pairs.shape)
     n = len(labels)
+    if mode == SIMPLE:
+        # Several times faster than a boolean index on the 2-D rows.
+        ids = np.compress(ids[:, 0] != ids[:, 1], ids, axis=0)
 
-    if mode == RAW_MULTISET:
-        a, b = ids[:, 0], ids[:, 1]
-    else:
-        keep = ids[:, 0] != ids[:, 1]
-        u, v = ids[keep, 0], ids[keep, 1]
-        del keep
-        # 64-bit before the product, as in _csr_from_edges.
-        key = np.minimum(u, v, dtype=np.int64)
-        key *= n
-        key += np.maximum(u, v)
-        del u, v
-        key.sort()
-        key = key[_group_starts(key)]
-        a = np.empty(len(key), dtype=_index_dtype(n))
-        b = np.empty(len(key), dtype=_index_dtype(n))
-        np.floor_divide(key, n, out=a, casting="unsafe")
-        np.remainder(key, n, out=b, casting="unsafe")
-        del key
+    # Both orientations' packed keys ``a*n + b`` and ``b*n + a`` go into one
+    # buffer, sorted by row and then neighbour.  dtype= keeps the products
+    # 64-bit: numpy 1.x would multiply int32 ids by a scalar in int32 and
+    # wrap above about 46341 nodes.
+    k = len(ids)
+    key = np.empty(2 * k, dtype=np.int64)
+    np.multiply(ids[:, 0], n, out=key[:k], dtype=np.int64)
+    key[:k] += ids[:, 1]
+    np.multiply(ids[:, 1], n, out=key[k:], dtype=np.int64)
+    key[k:] += ids[:, 0]
     del ids
-    indptr, indices, degrees = _csr_from_edges(a, b, n)
-    m = len(a)
+    key.sort()
+    if mode == SIMPLE:
+        # A repeated line and its reversed line fall on the same keys.
+        key = key[_group_starts(key)]
+    # Row i holds the keys in [i*n, (i+1)*n).
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    degrees = np.diff(indptr)
+    indices = np.empty(len(key), dtype=_index_dtype(n))
+    np.remainder(key, n, out=indices, casting="unsafe")
     for arr in (indptr, indices, degrees, labels):
         arr.setflags(write=False)
     return Graph(
         node_count=n,
-        edge_count=m,
+        edge_count=len(indices) // 2,
         indptr=indptr,
         indices=indices,
         degrees=degrees,

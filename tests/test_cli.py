@@ -558,6 +558,32 @@ class TestReportCommand:
         assert out.count("six_node") == 2
         assert "SIMPLE" in out
 
+    def test_edgeless_graph_gets_a_no_edges_row(self, tmp_path, capsys):
+        """A file of self-loops has no SIMPLE edges: that row keeps its size
+        and moments and leaves the edge-based cells empty, and every other
+        row is computed as usual."""
+        loops = tmp_path / "amazon0302.txt"
+        loops.write_text("1 1\n2 2\n")
+        out = tmp_path / "out"
+        argv = ["report", "--both-modes", str(SIX_NODE_FILE), str(loops)]
+        assert main([*argv, "--output-dir", str(out)]) == 0
+        header, *data = read_csv(out / "report.csv")
+        rows = [dict(zip(header, line)) for line in data]
+        assert [(r["dataset"], r["mode"], r["status"]) for r in rows] == [
+            ("six_node", "RAW_MULTISET", "NO_REFERENCE"),
+            ("six_node", "SIMPLE", "NO_REFERENCE"),
+            ("amazon0302", "RAW_MULTISET", "OK"),
+            ("amazon0302", "SIMPLE", "NO_EDGES"),
+        ]
+        edgeless = rows[3]
+        moments = ["n", "m", "density", "mean_degree", "mean_square_degree", "variance"]
+        assert [edgeless[c] for c in moments] == ["2", "0", "0", "0", "0", "0"]
+        diffs = [c for c in header if c.startswith("diff_")]
+        empty = ["assortativity", "nip_network", "consistency", *diffs]
+        assert all(edgeless[c] == "" for c in empty)
+        assert rows[2]["diff_n"] == str(2 - 262111)
+        assert "NO_EDGES" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "suffix, opener", [(".gz", gzip.open), (".bz2", bz2.open), (".xz", lzma.open)]
     )

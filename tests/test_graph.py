@@ -117,11 +117,13 @@ def test_degree_and_neighbors_bounds():
 
 @pytest.mark.parametrize("multiset", [False, True])
 def test_structure_matches_oracle_on_random_graphs(multiset):
+    """Both modes read the same messy input (repeated and reversed lines,
+    self-loops, nodes with only loops); the dense oracle reduces it."""
     rng = np.random.default_rng(2024)
     mode = RAW_MULTISET if multiset else SIMPLE
     for _ in range(200):
         n = int(rng.integers(1, 13))
-        edges = oracles.random_edge_list(rng, n, multiset)
+        edges = oracles.random_edge_list(rng, n, multiset=True)
         if not edges:
             continue
         g = build_graph(edges, mode=mode, nodes=range(n))
@@ -145,9 +147,10 @@ def test_index_dtype_switches_at_two_to_the_31():
 
 @pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
 def test_build_matches_oracle_on_relabelled_graphs(mode):
-    """Random labels (int64 extremes included), extra ``nodes`` that stay
-    isolated, and edgeless graphs with nodes, against a dict relabelling
-    and the dense oracle; ids and ``indices`` are int32, the rest int64."""
+    """Random labels (int64 extremes included), repeated and reversed
+    lines, self-loops, extra ``nodes`` that stay isolated, and edgeless
+    graphs with nodes, against a dict relabelling and the dense oracle;
+    ids and ``indices`` are int32, the rest int64."""
     rng = np.random.default_rng(707)
     multiset = mode == RAW_MULTISET
     for _ in range(200):
@@ -156,7 +159,7 @@ def test_build_matches_oracle_on_relabelled_graphs(mode):
         )
         n_edge_nodes = int(rng.integers(1, 10))
         labels = rng.permutation(pool)[: n_edge_nodes + 3].tolist()
-        local = oracles.random_edge_list(rng, n_edge_nodes, multiset, allow_empty=True)
+        local = oracles.random_edge_list(rng, n_edge_nodes, multiset=True, allow_empty=True)
         edges = [(labels[u], labels[v]) for u, v in local]
         nodes = rng.permutation(labels)[: int(rng.integers(0 if edges else 1, len(labels)))]
         nodes = nodes.tolist()
