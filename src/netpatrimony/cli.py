@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -37,8 +36,6 @@ from .graph import (
     write_edge_dump,
 )
 from .reference import AMAZON_REFERENCE
-
-WORKERS_ENV = "NETPATRIMONY_WORKERS"
 
 REPORT_METRICS = (
     "n",
@@ -167,16 +164,11 @@ def _ensure_outdir(args) -> Path:
     return outdir
 
 
-def resolve_workers(requested: int | None) -> int:
-    """Worker count from the explicit request, else the environment, else 1.
-    It is only echoed in run_config.json: every pass runs on one thread."""
-    text = os.environ.get(WORKERS_ENV, "1") if requested is None else requested
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+def _worker_count(text: str) -> int:
+    """``--worker-count``: an integer >= 1, echoed in run_config.json only."""
+    value = int(text)
     if value < 1:
-        raise ValueError(f"worker count must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"worker count must be >= 1, got {value}")
     return value
 
 
@@ -211,24 +203,29 @@ def _moments(stats: graph.DegreeStats) -> dict:
 
 def _summary(stats: graph.DegreeStats, assortativity) -> dict:
     """The network-level measures of one graph: summary.json's metrics and
-    the computed columns of a report row."""
+    the computed columns of a report row.  The three that need an edge are
+    None on a graph without edges."""
+    edged = stats.edge_count > 0
     return {
         **_moments(stats),
-        "knn_global": metrics.knn_global(stats),
+        "knn_global": metrics.knn_global(stats) if edged else None,
         "assortativity": assortativity,
-        "nip_network": nip.nip_network(stats),
+        "nip_network": nip.nip_network(stats) if edged else None,
     }
 
 
-def _analyse(args) -> tuple[Path, Graph, graph.DegreeStats, metrics.KnnProfile]:
+def _analyse(args) -> tuple[Path, Graph, graph.DegreeStats, metrics.KnnProfile | None]:
     """Shared head of ``stats``/``knn``/``nip``: load the graph, take its
-    degree moments and one neighbour-degree profile, and write
-    summary.json and run_config.json."""
+    degree moments and neighbour-degree profile (which ``stats`` skips on a
+    graph without edges), and write summary.json and run_config.json."""
     g = load_graph(args.input, mode=args.mode)
     stats = degree_stats(g, density_convention=args.density_convention)
-    profile = metrics.knn_profile(g, stats=stats)
+    profile = assortativity = None
+    if g.edge_count or args.command != "stats":
+        profile = metrics.knn_profile(g, stats=stats)
+        assortativity = _json_safe(profile.assortativity)
     outdir = _ensure_outdir(args)
-    summary = _summary(stats, _json_safe(profile.assortativity))
+    summary = _summary(stats, assortativity)
     _write_json(outdir / "summary.json", {**summary, "scale": args.scale, "mode": args.mode})
     _write_run_config(args, outdir, [args.input], args.mode)
     return outdir, g, stats, profile
@@ -332,19 +329,17 @@ def cmd_congen(args) -> int:
 
 
 def _report_rows(path: Path, modes: list[str], density_convention: str) -> list[dict]:
-    """One row per mode for an edge file, parsed once; one SKIPPED row if
-    the file is missing.  The dataset is named by the file's stem, taken
-    after a compression suffix is stripped."""
+    """One row per mode for an edge file, parsed and built once; one
+    SKIPPED row if the file is missing.  The dataset is named by the
+    file's stem, taken after a compression suffix is stripped."""
     base = path.with_suffix("") if path.suffix in graph._DECOMPRESSORS else path
     name = base.stem.lower()
     if not path.is_file():
         return [{"dataset": name, "mode": modes[0], "status": "SKIPPED"}]
     # Looked up on the module, so the benchmark's tracing hooks see them.
-    edges = graph.load_edge_file(path)
-    return [
-        _report_row(name, graph.build_graph(edges, mode=mode), density_convention)
-        for mode in modes
-    ]
+    raw = graph.build_graph(graph.load_edge_file(path), mode=RAW_MULTISET)
+    graphs = (raw if mode == RAW_MULTISET else graph.simple_graph(raw) for mode in modes)
+    return [_report_row(name, g, density_convention) for g in graphs]
 
 
 def _report_row(name: str, g: Graph, density_convention: str) -> dict:
@@ -415,7 +410,7 @@ def _add_common(parser, default_mode=SIMPLE, with_mode=True):
     )
     parser.add_argument("--scale", choices=nip.SCALES, default=nip.NORMALIZED)
     parser.add_argument("--tolerance", type=_tolerance, default=nip.DEFAULT_TOLERANCE)
-    parser.add_argument("--worker-count", type=int, default=None)
+    parser.add_argument("--worker-count", type=_worker_count, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,7 +460,6 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        args.worker_count = resolve_workers(args.worker_count)
         return args.func(args)
     except (OSError, ValueError) as exc:  # includes parse and config errors
         print(f"error: {exc}", file=sys.stderr)

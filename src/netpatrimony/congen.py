@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import RAW_MULTISET, SIMPLE, Graph, build_graph, sorted_unique
+from .graph import RAW_MULTISET, SIMPLE, Graph, _group_starts, build_graph, simple_graph
 
 MULTIGRAPH = "MULTIGRAPH"
 ERASE = "ERASE"
@@ -266,7 +266,7 @@ def _is_simple_matching(a: np.ndarray, b: np.ndarray, n: int) -> bool:
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     keys = lo * np.int64(n) + hi
-    return len(sorted_unique(keys)) == len(keys)
+    return bool(_group_starts(np.sort(keys)).all())
 
 
 def generate(
@@ -313,12 +313,12 @@ def generate(
 
     a, b = _match_stubs(deg, rng)
     info["attempts"] = 1
-    if simple_policy == MULTIGRAPH:
-        g = build_graph(np.column_stack([a, b]), mode=RAW_MULTISET, nodes=nodes)
-        return g, info
-    # ERASE: build_graph's SIMPLE preprocessing is exactly the erasure step.
-    g = build_graph(np.column_stack([a, b]), mode=SIMPLE, nodes=nodes)
-    info["erased_edges"] = int(total // 2 - g.edge_count)
+    g = build_graph(np.column_stack([a, b]), mode=RAW_MULTISET, nodes=nodes)
+    if simple_policy == ERASE:
+        # The SIMPLE derivation is exactly the erasure step.
+        simple = simple_graph(g)
+        info["erased_edges"] = g.edge_count - simple.edge_count
+        g = simple
     return g, info
 
 

@@ -10,9 +10,10 @@ under one of two preprocessing modes:
     arithmetic of treating a directed edge dump as a plain line count.
 
 ``SIMPLE``
-    The RAW_MULTISET adjacency with the self-loop entries removed and
-    repeated neighbour entries collapsed, so a repeated line and its
-    reversed line both become one edge: a simple undirected graph.
+    Derived from the RAW_MULTISET graph by ``simple_graph``: its adjacency
+    with the self-loop entries removed and repeated neighbour entries
+    collapsed, so a repeated line and its reversed line both become one
+    edge: a simple undirected graph.
 
 Node identifiers in the input may be arbitrary (non-contiguous) integers;
 they are mapped to contiguous internal indices ``0..n-1`` in order of first
@@ -69,10 +70,11 @@ class Graph:
         ``indices[indptr[i]:indptr[i+1]]``, in ascending order.  Both
         endpoints of every edge are stored, and a self-loop appears twice
         in its node's row, so ``len(indices) == 2 * edge_count`` and row
-        lengths equal degrees.  In SIMPLE mode the arrays are the
-        RAW_MULTISET ones without self-loop entries and with each repeated
-        entry of a row kept once.  Construction sorts packed ``i*n + j``
-        int64 keys, which needs ``n**2 < 2**63`` (n below about 3.04e9).
+        lengths equal degrees.  A SIMPLE graph's arrays are derived from
+        the RAW_MULTISET ones (``simple_graph``): self-loop entries dropped
+        and each repeated entry of a row kept once.  Construction sorts
+        packed ``i*n + j`` int64 keys, which needs ``n**2 < 2**63`` (n
+        below about 3.04e9).
         ``indices`` is int32 when ``n < 2**31`` and int64 otherwise;
         ``indptr`` is always int64.
     degrees : np.ndarray
@@ -93,11 +95,7 @@ class Graph:
 
     def degree(self, i: int) -> int:
         """Degree of internal node ``i``; IndexError if out of range."""
-        if not 0 <= i < self.node_count:
-            raise IndexError(
-                f"node index {i} out of range for graph with {self.node_count} nodes"
-            )
-        return int(self.degrees[i])
+        return len(self.neighbors(i))
 
     def neighbors(self, i: int) -> np.ndarray:
         """Neighbour indices of node ``i`` (with multiplicity in RAW_MULTISET)."""
@@ -150,6 +148,8 @@ def _first_appearance_ids(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stable.  ``ids`` has ``_index_dtype(len(labels))``.
     """
     dtype = _index_dtype(len(labels))
+    # Allocated first, so the temporaries freed above it can go back to the system.
+    ids = np.empty(len(labels), dtype=dtype)
     order = np.argsort(labels).astype(dtype, copy=False)
     sorted_labels = labels[order]
     starts = _group_starts(sorted_labels)
@@ -165,7 +165,6 @@ def _first_appearance_ids(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     group = np.cumsum(starts, dtype=dtype)
     del starts
     group -= 1
-    ids = np.empty(len(labels), dtype=dtype)
     ids[order] = rank[group]
     return ids, ordered_labels
 
@@ -177,16 +176,6 @@ def _group_starts(sorted_values: np.ndarray) -> np.ndarray:
     starts[:1] = True
     np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
     return starts
-
-
-def sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Distinct values of an integer array in ascending order.
-
-    Sorts and drops each value equal to its predecessor; on int64 keys this
-    is many times faster than the hash-based ``np.unique`` of numpy 2.
-    """
-    keys = np.sort(keys)
-    return keys[_group_starts(keys)]
 
 
 def build_graph(
@@ -201,7 +190,8 @@ def build_graph(
     edges : array-like of shape (k, 2)
         Endpoint pairs with arbitrary integer labels.
     mode : str
-        RAW_MULTISET or SIMPLE (see module docstring).
+        RAW_MULTISET or SIMPLE (see module docstring).  Both build the
+        RAW_MULTISET graph; SIMPLE returns ``simple_graph`` of it.
     nodes : optional sequence of labels
         Extra node labels to register before the edge endpoints, in the
         given order.  Lets callers keep isolated nodes; required when
@@ -222,11 +212,7 @@ def build_graph(
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"edges must have shape (k, 2), got {pairs.shape}")
 
-    extra = (
-        np.asarray(nodes, dtype=np.int64).reshape(-1)
-        if nodes is not None
-        else np.empty(0, dtype=np.int64)
-    )
+    extra = np.asarray([] if nodes is None else nodes, dtype=np.int64).reshape(-1)
     if pairs.shape[0] == 0 and extra.size == 0:
         raise ValueError("empty edge list and no nodes given: graph is undefined")
 
@@ -236,9 +222,6 @@ def build_graph(
     del flat
     ids = ids[extra.size :].reshape(pairs.shape)
     n = len(labels)
-    if mode == SIMPLE:
-        # Several times faster than a boolean index on the 2-D rows.
-        ids = np.compress(ids[:, 0] != ids[:, 1], ids, axis=0)
 
     # Both orientations' packed keys ``a*n + b`` and ``b*n + a`` go into one
     # buffer, sorted by row and then neighbour.  dtype= keeps the products
@@ -252,25 +235,43 @@ def build_graph(
     key[k:] += ids[:, 0]
     del ids
     key.sort()
-    if mode == SIMPLE:
-        # A repeated line and its reversed line fall on the same keys.
-        key = key[_group_starts(key)]
     # Row i holds the keys in [i*n, (i+1)*n).
     indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-    degrees = np.diff(indptr)
     indices = np.empty(len(key), dtype=_index_dtype(n))
     np.remainder(key, n, out=indices, casting="unsafe")
+    del key  # freed before a SIMPLE graph is derived
+    raw = _csr_graph(indptr, indices, labels, RAW_MULTISET)
+    return raw if mode == RAW_MULTISET else simple_graph(raw)
+
+
+def simple_graph(g: Graph) -> Graph:
+    """The SIMPLE graph of a RAW_MULTISET graph: its adjacency without the
+    self-loop entries and without each entry equal to the one before it in
+    its row, so a repeated line and its reversed line both become one edge.
+
+    Node ids and labels are unchanged, so nodes left without an edge stay
+    as isolated nodes.  Applied to a SIMPLE graph it returns an equal one.
+    """
+    row = np.repeat(np.arange(g.node_count, dtype=g.indices.dtype), g.degrees)
+    keep = g.indices != row
+    # A row's entries ascend, so each repeat directly follows an equal entry.
+    repeat = g.indices[1:] == g.indices[:-1]
+    repeat &= row[1:] == row[:-1]
+    keep[1:] &= ~repeat
+    del repeat
+    dropped = np.bincount(row[~keep], minlength=g.node_count)
+    del row
+    indptr = np.zeros(g.node_count + 1, dtype=np.int64)
+    np.cumsum(g.degrees - dropped, out=indptr[1:])
+    return _csr_graph(indptr, g.indices[keep], g.node_labels, SIMPLE)
+
+
+def _csr_graph(indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray, mode: str) -> Graph:
+    """A read-only Graph over CSR arrays; degrees are the row lengths."""
+    degrees = np.diff(indptr)
     for arr in (indptr, indices, degrees, labels):
         arr.setflags(write=False)
-    return Graph(
-        node_count=n,
-        edge_count=len(indices) // 2,
-        indptr=indptr,
-        indices=indices,
-        degrees=degrees,
-        node_labels=labels,
-        mode=mode,
-    )
+    return Graph(len(labels), len(indices) // 2, indptr, indices, degrees, labels, mode)
 
 
 def parse_edge_lines(lines: Iterable[str], path: str = "<memory>") -> np.ndarray:

@@ -9,6 +9,11 @@ For a graph with degree sequence d_1..d_n and m edges:
 * assortativity r = Pearson correlation of endpoint degrees over the 2m
   ordered edge-endpoint pairs (each edge taken in both orientations).
 
+On RAW_MULTISET graphs parallel edges count once per copy and a self-loop
+adds its (d, d) pair twice, in every sum above.  networkx adds a loop's pair
+once, and its ``average_neighbor_degree`` ignores edge multiplicity, so its
+values differ on such graphs.
+
 Undefined values (isolated nodes, zero-variance assortativity) are reported
 as NaN rather than raising.
 """
@@ -55,8 +60,6 @@ def neighbour_degree_sums(g: Graph) -> np.ndarray:
 def knn_node(g: Graph, sums: np.ndarray | None = None) -> np.ndarray:
     """Per-node mean neighbour degree; NaN for isolated nodes.
 
-    Neighbour degrees are summed with multiplicity (parallel edges count
-    once per copy; a self-loop contributes its own node's degree twice).
     ``sums`` takes ``neighbour_degree_sums(g)`` when the caller has it.
     """
     if sums is None:

@@ -157,18 +157,35 @@ def test_worker_count_does_not_change_output_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_worker_count_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("NETPATRIMONY_WORKERS", "3")
+def test_zero_worker_count_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["stats", str(SIX_NODE_FILE), "--output-dir", str(out), "--worker-count", "0"]
+    assert main(argv) == 1
+    assert "argument --worker-count: worker count must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stats_on_edgeless_graph_writes_moments(tmp_path, capsys):
+    """Two self-loops leave no SIMPLE edge: ``stats`` writes the moments and
+    nulls for the measures that need an edge; ``knn`` and ``nip`` still
+    exit 1 and write nothing."""
+    loops = tmp_path / "loops.txt"
+    loops.write_text("1 1\n2 2\n")
     out = tmp_path / "out"
-    assert main(["stats", str(SIX_NODE_FILE), "--output-dir", str(out)]) == 0
-    assert read_json(out / "run_config.json")["worker_count"] == 3
-
-
-def test_worker_count_env_error_names_the_variable(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NETPATRIMONY_WORKERS", "x")
-    assert main(["stats", str(SIX_NODE_FILE), "--output-dir", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert "error: NETPATRIMONY_WORKERS must be an integer, got 'x'" in err
+    assert main(["stats", str(loops), "--output-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "degree_dist.csv", "run_config.json", "summary.json"
+    ]
+    summary = read_json(out / "summary.json")
+    assert [summary[k] for k in ("n", "m", "mean_degree", "variance", "density")] == [2, 0, 0, 0, 0]
+    assert [summary[k] for k in ("knn_global", "assortativity", "nip_network")] == [None] * 3
+    assert read_csv(out / "degree_dist.csv") == [["degree", "count"], ["0", "2"]]
+    for command in ("knn", "nip"):
+        other = tmp_path / command
+        assert main([command, str(loops), "--output-dir", str(other)]) == 1
+        err = capsys.readouterr().err
+        assert "error: mean neighbour degree is undefined when all degrees are 0" in err
+        assert not other.exists()
 
 
 @pytest.mark.parametrize("value", ["-0.5", "nan", "-inf"])
@@ -212,9 +229,8 @@ def test_zero_tolerance_is_accepted(tmp_path):
     ids=["stats", "report", "congen-erase", "congen-multigraph"],
 )
 def test_run_config_echoes_every_key_in_order(
-    tmp_path, capsys, monkeypatch, command, extra, policy, mode, seed
+    tmp_path, capsys, command, extra, policy, mode, seed
 ):
-    monkeypatch.delenv("NETPATRIMONY_WORKERS", raising=False)
     source = str(SIX_NODE_FILE)
     if policy is not None:
         source = str(tmp_path / "spec.json")
@@ -313,12 +329,24 @@ def test_analysis_csv_bytes_match_row_wise_writer(tmp_path, mode):
             assert (out / name).read_bytes() == want, (seed, key)
 
 
-def test_report_csv_bytes_match_row_wise_writer(tmp_path, capsys):
+def test_report_csv_bytes_match_row_wise_writer(tmp_path, capsys, monkeypatch):
+    """Both rows come from one build of the file: the SIMPLE graph is
+    derived from the RAW_MULTISET one, and the bytes match separate builds."""
     edges = tmp_path / "net,work.txt"
     write_random_edge_file(edges, 99)
     missing = tmp_path / "gone.txt"
     out = tmp_path / "out"
+    builds = []
+    build_graph = cli.graph.build_graph
+
+    def counted(*args, **kwargs):
+        builds.append(kwargs)
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(cli.graph, "build_graph", counted)
     assert main(["report", str(edges), str(missing), "--both-modes", "--output-dir", str(out)]) == 0
+    assert builds == [{"mode": RAW_MULTISET}]
+    monkeypatch.undo()
     capsys.readouterr()
     metrics = ["n", "m", "density", "mean_degree", "mean_square_degree", "variance",
                "assortativity", "nip_network"]

@@ -14,6 +14,7 @@ from netpatrimony import (
     load_graph,
     parse_edge_lines,
     same_labelled_graph,
+    simple_graph,
     write_edge_dump,
 )
 from netpatrimony import graph as graph_module
@@ -150,7 +151,8 @@ def test_build_matches_oracle_on_relabelled_graphs(mode):
     """Random labels (int64 extremes included), repeated and reversed
     lines, self-loops, extra ``nodes`` that stay isolated, and edgeless
     graphs with nodes, against a dict relabelling and the dense oracle;
-    ids and ``indices`` are int32, the rest int64."""
+    ids and ``indices`` are int32, the rest int64.  SIMPLE also checks
+    ``simple_graph`` of the RAW_MULTISET and of the SIMPLE graph."""
     rng = np.random.default_rng(707)
     multiset = mode == RAW_MULTISET
     for _ in range(200):
@@ -167,15 +169,20 @@ def test_build_matches_oracle_on_relabelled_graphs(mode):
         for label in nodes + [x for e in edges for x in e]:
             index.setdefault(label, len(index))
         n = len(index)
-        g = build_graph(edges, mode=mode, nodes=nodes)
+        built = [build_graph(edges, mode=mode, nodes=nodes)]
+        if not multiset:
+            built.append(simple_graph(build_graph(edges, mode=RAW_MULTISET, nodes=nodes)))
+            built.append(simple_graph(built[0]))
         a = oracles.adjacency_matrix([(index[u], index[v]) for u, v in edges], n, multiset)
-        assert g.node_labels.tolist() == list(index)
-        assert g.degrees.tolist() == oracles.degrees_of(a)
-        assert g.edge_count == oracles.edge_count_of(a)
-        for i in range(n):
-            assert g.neighbors(i).tolist() == [j for j in range(n) for _ in range(int(a[i, j]))]
-        assert (g.indices.dtype, g.indptr.dtype, g.degrees.dtype) == (np.int32, np.int64, np.int64)
-        assert g.node_labels.dtype == np.int64
+        for g in built:
+            assert g.mode == mode
+            assert g.node_labels.tolist() == list(index)
+            assert g.degrees.tolist() == oracles.degrees_of(a)
+            assert g.edge_count == oracles.edge_count_of(a)
+            for i in range(n):
+                assert g.neighbors(i).tolist() == [j for j in range(n) for _ in range(int(a[i, j]))]
+            assert (g.indices.dtype, g.indptr.dtype, g.degrees.dtype) == (np.int32, np.int64, np.int64)
+            assert g.node_labels.dtype == np.int64
 
 
 @pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
