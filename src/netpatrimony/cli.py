@@ -166,7 +166,12 @@ def _ensure_outdir(args) -> Path:
 
 def _worker_count(text: str) -> int:
     """``--worker-count``: an integer >= 1, echoed in run_config.json only."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"worker count must be an integer >= 1, got {text!r}"
+        ) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"worker count must be >= 1, got {value}")
     return value
@@ -243,10 +248,11 @@ def cmd_stats(args) -> int:
 
 def cmd_knn(args) -> int:
     outdir, g, _, profile = _analyse(args)
+    occurring, _ = metrics.degree_histogram(g.degrees)
     _write_csv(
         outdir / "knn_node.csv",
         ["node_label", "degree", "knn_i"],
-        [g.node_labels, g.degrees, profile.knn_node],
+        [g.node_labels, _degree_cells(g.degrees, occurring, occurring), profile.knn_node],
     )
     _write_csv(
         outdir / "knn_class.csv",
@@ -272,7 +278,7 @@ def cmd_nip(args) -> int:
         ["node_label", "degree", "knn_i", "ip", "nip", "class_nip", "classification", "scale"],
         [
             g.node_labels,
-            g.degrees,
+            _degree_cells(g.degrees, occurring, occurring),
             profile.knn_node,
             _degree_cells(g.degrees, occurring, scores.ip[node_of_degree[occurring]]),
             scores.nip_node,

@@ -28,7 +28,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -420,9 +420,47 @@ def _edge_endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-#: Edges formatted per batch by ``edge_dump_lines``; bounds the temporary
-#: Python ints alive at once.
-_DUMP_CHUNK = 4096
+#: Lines per batch of ``_edge_dump_chunks``; bounds its byte matrix at
+#: ``_DUMP_CHUNK * (2*w + 2)`` bytes for labels of at most ``w`` characters
+#: (about 2.9 MB at the 20 characters of ``-2**63``).
+_DUMP_CHUNK = 1 << 16
+
+
+def _edge_dump_chunks(g: Graph) -> Iterator[bytes]:
+    """The edge dump as bytes, ``_DUMP_CHUNK`` lines per chunk.
+
+    Each edge appears once as ``b"<u>\\t<v>\\n"`` of original labels, with
+    u's internal index not greater than v's, and the lines are sorted
+    bytewise.  No Python object is made per edge: each label is formatted
+    once and a batch's lines are assembled in one byte matrix.
+    """
+    # Each label's text, NUL-padded to the widest one.  Decimal text holds
+    # no NUL byte, so dropping a row's zero bytes removes exactly the
+    # padding, and the padded texts sort like the texts themselves.
+    labels = g.node_labels
+    w = max(len(str(labels.min())), len(str(labels.max())))
+    text = labels.astype(f"S{w}")
+    a, b = _edge_endpoints(g)
+    # The tab sorts below every character of an integer label, so the
+    # line order is the order of (str(u), str(v)): sort the edges by the
+    # text rank of each endpoint's label instead of sorting the lines.
+    n = np.int64(g.node_count)
+    by_text = np.argsort(text)
+    text_rank = np.empty(g.node_count, dtype=np.int64)
+    text_rank[by_text] = np.arange(g.node_count, dtype=np.int64)
+    key = text_rank[a] * n + text_rank[b]
+    del a, b, text_rank
+    key.sort()
+    text = text[by_text].view(np.uint8).reshape(-1, w)
+    rows = np.empty((min(len(key), _DUMP_CHUNK), 2 * w + 2), dtype=np.uint8)
+    rows[:, w] = ord("\t")
+    rows[:, -1] = ord("\n")
+    for lo in range(0, len(key), _DUMP_CHUNK):
+        part = key[lo : lo + _DUMP_CHUNK]
+        batch = rows[: len(part)]
+        batch[:, :w] = text[part // n]
+        batch[:, w + 1 : -1] = text[part % n]
+        yield batch[batch != 0].tobytes()
 
 
 def edge_dump_lines(g: Graph) -> list[str]:
@@ -432,33 +470,15 @@ def edge_dump_lines(g: Graph) -> list[str]:
     greater than v's; the lines are sorted lexicographically, so two equal
     labelled graphs produce identical dumps.
     """
-    a, b = _edge_endpoints(g)
-    # The tab sorts below every character of an integer label, so the
-    # line order is the order of (str(u), str(v)): sort the edges by the
-    # string rank of each endpoint's label instead of sorting the lines.
-    n = np.int64(g.node_count)
-    by_text = np.argsort(g.node_labels.astype(str))
-    text_rank = np.empty(g.node_count, dtype=np.int64)
-    text_rank[by_text] = np.arange(g.node_count, dtype=np.int64)
-    key = text_rank[a] * n + text_rank[b]
-    key.sort()
-    labels = g.node_labels[by_text]
-    lines: list[str] = []
-    for lo in range(0, len(key), _DUMP_CHUNK):
-        part = key[lo : lo + _DUMP_CHUNK]
-        lines += map(
-            "{}\t{}".format, labels[part // n].tolist(), labels[part % n].tolist()
-        )
-    return lines
+    return b"".join(_edge_dump_chunks(g)).decode("ascii").splitlines()
 
 
 def write_edge_dump(g: Graph, path: str | Path) -> None:
-    """Write ``edge_dump_lines(g)`` to ``path``, one edge per line, each
-    ``_DUMP_CHUNK`` of lines in one write."""
-    lines = edge_dump_lines(g)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lo in range(0, len(lines), _DUMP_CHUNK):
-            fh.write("\n".join(lines[lo : lo + _DUMP_CHUNK]) + "\n")
+    """Write the lines of ``edge_dump_lines(g)`` to ``path``, each ended by
+    ``\\n``, one ``_DUMP_CHUNK`` batch per write."""
+    with open(path, "wb") as fh:
+        for chunk in _edge_dump_chunks(g):
+            fh.write(chunk)
 
 
 def same_labelled_graph(g1: Graph, g2: Graph) -> bool:

@@ -165,6 +165,16 @@ def test_zero_worker_count_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_integer_worker_count_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["stats", str(SIX_NODE_FILE), "--output-dir", str(out), "--worker-count", "x"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "argument --worker-count: worker count must be an integer >= 1, got 'x'" in err
+    assert "_worker_count" not in err
+    assert not out.exists()
+
+
 def test_stats_on_edgeless_graph_writes_moments(tmp_path, capsys):
     """Two self-loops leave no SIMPLE edge: ``stats`` writes the moments and
     nulls for the measures that need an edge; ``knn`` and ``nip`` still

@@ -21,7 +21,8 @@ from netpatrimony import (
     is_graphical,
     sample_degree_sequence,
 )
-from netpatrimony.graph import edge_dump_lines
+from netpatrimony.congen import _match_stubs
+from netpatrimony.graph import edge_dump_lines, write_edge_dump
 
 
 class TestGraphical:
@@ -168,6 +169,23 @@ class TestGeneration:
             assert g.mode == RAW_MULTISET
             assert g.node_count == n
             assert np.array_equal(g.degrees, seq)
+
+    def test_multigraph_dump_is_the_stub_matching(self, tmp_path):
+        # Labels are the ids 0..n-1, so the dump is the seed's matching as
+        # sorted (min, max) lines: m of them, loops and parallel pairs kept.
+        seq = np.array([12, 6, 5, 4, 3, 3, 2, 2, 1, 0, 1, 3])
+        loops = 0
+        for seed in range(5):
+            g = configuration_model(seq, seed=seed, simple_policy=MULTIGRAPH)
+            a, b = _match_stubs(seq, np.random.default_rng(seed))
+            pairs = list(zip(a.tolist(), b.tolist()))
+            path = tmp_path / f"edges{seed}.txt"
+            write_edge_dump(g, path)
+            lines = path.read_text().splitlines(keepends=True)
+            assert len(lines) == g.edge_count == int(seq.sum()) // 2
+            assert lines == sorted(f"{min(u, v)}\t{max(u, v)}\n" for u, v in pairs)
+            loops += sum(u == v for u, v in pairs)
+        assert loops > 0  # the matchings above do hold loops
 
     def test_erase_only_removes(self):
         seq = [4, 4, 3, 3, 2, 2, 1, 1]

@@ -310,6 +310,18 @@ class TestDegreeStats:
         assert sorted(s.degree_sequence.tolist()) == [2, 2, 2]
 
 
+def _dump_from_adjacency(g) -> list[str]:
+    """The edge dump formatted one line at a time from ``g.neighbors``:
+    each edge once as ``"<u>\\t<v>\\n"``, u's index not above v's, sorted."""
+    labels_of = g.node_labels.tolist()
+    lines = []
+    for i in range(g.node_count):
+        row = g.neighbors(i).tolist()
+        lines += [f"{labels_of[i]}\t{labels_of[j]}\n" for j in row if j > i]
+        lines += [f"{labels_of[i]}\t{labels_of[i]}\n"] * (row.count(i) // 2)
+    return sorted(lines)
+
+
 class TestEdgeDump:
     def test_endpoints_follow_internal_order_and_lines_sort(self):
         g = build_graph([(10, 3), (7, 10), (3, 7)])
@@ -330,13 +342,7 @@ class TestEdgeDump:
             edges = rng.choice(labels, size=(int(rng.integers(1, 40)), 2))
             edges = np.concatenate([edges, edges[:5], [[9, 9], [I64_MIN, I64_MIN]]])
             g = build_graph(edges, mode=RAW_MULTISET)
-            labels_of = g.node_labels.tolist()
-            expected = []
-            for i in range(g.node_count):
-                row = g.neighbors(i).tolist()
-                expected += [f"{labels_of[i]}\t{labels_of[j]}" for j in row if j > i]
-                expected += [f"{labels_of[i]}\t{labels_of[i]}"] * (row.count(i) // 2)
-            assert edge_dump_lines(g) == sorted(expected)
+            assert edge_dump_lines(g) == [line[:-1] for line in _dump_from_adjacency(g)]
 
     def test_same_labelled_graph_compares_edge_multisets(self):
         def raw(edges):
@@ -366,14 +372,24 @@ class TestEdgeDump:
             assert same_labelled_graph(g, rebuilt)
 
     def test_written_dump_is_the_lines_in_chunks(self, tmp_path, monkeypatch):
+        # Batches of 3 lines whose labels range from one digit to the
+        # 20-character int64 minimum, so short labels share a batch, and its
+        # padding, with the widest ones.
         monkeypatch.setattr(graph_module, "_DUMP_CHUNK", 3)
-        for k in (0, 1, 3, 4, 7):
-            g = build_graph([(i, i + 1) for i in range(k)], mode=RAW_MULTISET, nodes=[0])
-            path = tmp_path / f"dump{k}.txt"
-            write_edge_dump(g, path)
-            lines = edge_dump_lines(g)
-            assert len(lines) == k
-            assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
+        chains = [[(i, i + 1) for i in range(k)] for k in (0, 1, 3, 4, 7)]
+        mixed = [[0, I64_MIN], [-3, I64_MAX], [7, 7], [I64_MAX, 5]]
+        labels = [0, 1, 7, -3, -45, 12, I64_MIN, I64_MAX]
+        rng = np.random.default_rng(11)
+        drawn = [rng.choice(labels, size=(int(rng.integers(1, 12)), 2)).tolist() for _ in range(30)]
+        # Repeated lines and self-loops, which RAW_MULTISET keeps.
+        extras = [[I64_MIN, I64_MIN], [1, 1]]
+        graphs = [*chains, *([*e, *e[:2], *extras] for e in [mixed, *drawn])]
+        for k, edges in enumerate(graphs):
+            for mode in (RAW_MULTISET, SIMPLE):
+                g = build_graph(edges, mode=mode, nodes=[0])
+                path = tmp_path / f"dump{k}{mode}.txt"
+                write_edge_dump(g, path)
+                assert path.read_bytes() == "".join(_dump_from_adjacency(g)).encode()
 
     def test_simple_rebuild_is_idempotent(self):
         rng = np.random.default_rng(5)
