@@ -336,14 +336,20 @@ def cmd_congen(args) -> int:
 
 def _report_rows(path: Path, modes: list[str], density_convention: str) -> list[dict]:
     """One row per mode for an edge file, parsed and built once; one
-    SKIPPED row if the file is missing.  The dataset is named by the
-    file's stem, taken after a compression suffix is stripped."""
+    SKIPPED row if the file is missing, and NO_EDGES rows of ``n = m = 0``
+    if it holds no edge line.  The dataset is named by the file's stem,
+    taken after a compression suffix is stripped."""
     base = path.with_suffix("") if path.suffix in graph._DECOMPRESSORS else path
     name = base.stem.lower()
     if not path.is_file():
         return [{"dataset": name, "mode": modes[0], "status": "SKIPPED"}]
     # Looked up on the module, so the benchmark's tracing hooks see them.
-    raw = graph.build_graph(graph.load_edge_file(path), mode=RAW_MULTISET)
+    pairs = graph.load_edge_file(path)
+    if len(pairs) == 0:
+        empty = {"dataset": name, "status": "NO_EDGES", "n": 0, "m": 0}
+        return [{**empty, "mode": mode} for mode in modes]
+    raw = graph.build_graph(pairs, mode=RAW_MULTISET)
+    del pairs  # freed before the rows are computed
     graphs = (raw if mode == RAW_MULTISET else graph.simple_graph(raw) for mode in modes)
     return [_report_row(name, g, density_convention) for g in graphs]
 

@@ -251,16 +251,17 @@ def sample_degree_sequence(spec: DegreeSequenceSpec) -> np.ndarray:
     )
 
 
-def _match_stubs(
-    degrees: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def _match_stubs(degrees: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The shuffled stubs paired consecutively, as an ``(m, 2)`` view of the
+    stub array (no copy)."""
     stubs = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
     rng.shuffle(stubs)
     half = len(stubs) // 2
-    return stubs[0::2][:half], stubs[1::2][:half]
+    return stubs[: 2 * half].reshape(-1, 2)
 
 
-def _is_simple_matching(a: np.ndarray, b: np.ndarray, n: int) -> bool:
+def _is_simple_matching(pairs: np.ndarray, n: int) -> bool:
+    a, b = pairs[:, 0], pairs[:, 1]
     if (a == b).any():
         return False
     lo = np.minimum(a, b)
@@ -304,16 +305,16 @@ def generate(
 
     if simple_policy == REJECT:
         for attempt in range(1, max_attempts + 1):
-            a, b = _match_stubs(deg, rng)
-            if _is_simple_matching(a, b, n):
-                g = build_graph(np.column_stack([a, b]), mode=SIMPLE, nodes=nodes)
+            pairs = _match_stubs(deg, rng)
+            if _is_simple_matching(pairs, n):
+                g = build_graph(pairs, mode=SIMPLE, nodes=nodes)
                 info["attempts"] = attempt
                 return g, info
         raise RejectionExhaustedError(max_attempts)
 
-    a, b = _match_stubs(deg, rng)
+    pairs = _match_stubs(deg, rng)
     info["attempts"] = 1
-    g = build_graph(np.column_stack([a, b]), mode=RAW_MULTISET, nodes=nodes)
+    g = build_graph(pairs, mode=RAW_MULTISET, nodes=nodes)
     if simple_policy == ERASE:
         # The SIMPLE derivation is exactly the erasure step.
         simple = simple_graph(g)

@@ -143,11 +143,27 @@ def _first_appearance_ids(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(ids, ordered_labels)`` where ``ids[i]`` is the internal index
     of ``labels[i]`` and ``ordered_labels[k]`` is the original label of
-    internal index k.  One sort groups equal labels; each group's smallest
-    original position is its first appearance, so the sort need not be
-    stable.  ``ids`` has ``_index_dtype(len(labels))``.
+    internal index k.  ``ids`` has ``_index_dtype(len(labels))``.  Two
+    paths give the same result:
+
+    * Narrow labels, whose span ``max - min + 1`` is at most
+      ``len(labels)`` (SNAP files, whose labels are about 0..n-1, and every
+      ``congen`` graph): a span-sized table, addressed by ``label - min``,
+      takes each label's first position by ``np.minimum.at``.  One sort of
+      the distinct labels' first positions ranks them, the table is
+      overwritten with the ranks, and one ``np.take`` maps every label.
+      The table never outgrows ``labels``.
+    * Any other span: one ``argsort`` groups equal labels, and each group's
+      smallest original position is its first appearance, so the sort need
+      not be stable.
     """
     dtype = _index_dtype(len(labels))
+    if len(labels):
+        low = labels.min()
+        # Python ints: the int64 difference of the int64 extremes overflows.
+        span = int(labels.max()) - int(low) + 1
+        if span <= len(labels):
+            return _first_appearance_by_table(labels, low, span, dtype)
     # Allocated first, so the temporaries freed above it can go back to the system.
     ids = np.empty(len(labels), dtype=dtype)
     order = np.argsort(labels).astype(dtype, copy=False)
@@ -166,6 +182,29 @@ def _first_appearance_ids(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del starts
     group -= 1
     ids[order] = rank[group]
+    return ids, ordered_labels
+
+
+def _first_appearance_by_table(
+    labels: np.ndarray, low: np.integer, span: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """The table path of ``_first_appearance_ids``: ``labels`` lie in
+    ``low .. low + span - 1`` and ``span <= len(labels)``."""
+    count = len(labels)
+    # Holds the positions first and the ids last; allocated before the
+    # temporaries, so their space can go back to the system.
+    ids = np.arange(count, dtype=dtype)
+    offset = labels - low
+    # A label's entry holds its first position; ``count`` marks an absent one.
+    table = np.full(span, count, dtype=dtype)
+    np.minimum.at(table, offset, ids)
+    first_pos = table[table < count]
+    first_pos.sort()
+    ordered_labels = labels[first_pos]
+    table[offset[first_pos]] = np.arange(len(first_pos), dtype=dtype)
+    # Every offset is in range; "clip" also spares the copy of ``out`` that
+    # the default "raise" makes.
+    np.take(table, offset, out=ids, mode="clip")
     return ids, ordered_labels
 
 

@@ -622,6 +622,31 @@ class TestReportCommand:
         assert rows[2]["diff_n"] == str(2 - 262111)
         assert "NO_EDGES" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["", "# FromNodeId\tToNodeId\n\n"])
+    def test_file_without_edge_lines_gets_no_edges_rows(self, tmp_path, capsys, text):
+        """A file with no edge line gets one NO_EDGES row per mode with
+        n = m = 0 and every other cell empty; the other files' rows are
+        computed and the exit code is 0."""
+        empty = tmp_path / "empty.txt"
+        empty.write_text(text)
+        out = tmp_path / "out"
+        argv = ["report", "--both-modes", str(SIX_NODE_FILE), str(empty), "--output-dir", str(out)]
+        assert main(argv) == 0
+        header, *data = read_csv(out / "report.csv")
+        rows = [dict(zip(header, line)) for line in data]
+        assert [(r["dataset"], r["mode"], r["status"]) for r in rows] == [
+            ("six_node", "RAW_MULTISET", "NO_REFERENCE"),
+            ("six_node", "SIMPLE", "NO_REFERENCE"),
+            ("empty", "RAW_MULTISET", "NO_EDGES"),
+            ("empty", "SIMPLE", "NO_EDGES"),
+        ]
+        assert rows[0]["n"] == "6"
+        for row in rows[2:]:
+            assert (row["n"], row["m"]) == ("0", "0")
+            filled = {"dataset", "mode", "status", "n", "m"}
+            assert all(row[c] == "" for c in header if c not in filled)
+        assert capsys.readouterr().out.count("NO_EDGES") == 2
+
     @pytest.mark.parametrize(
         "suffix, opener", [(".gz", gzip.open), (".bz2", bz2.open), (".xz", lzma.open)]
     )

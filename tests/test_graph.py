@@ -68,6 +68,97 @@ def test_first_appearance_ids_match_dict_oracle_on_random_labels():
         assert (ids.tolist(), ordered.tolist()) == _first_appearance_oracle(labels)
 
 
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Records the span of each call of ``_first_appearance_ids``'s table path."""
+    calls = []
+    table = graph_module._first_appearance_by_table
+
+    def spy(labels, low, span, dtype):
+        calls.append(span)
+        return table(labels, low, span, dtype)
+
+    monkeypatch.setattr(graph_module, "_first_appearance_by_table", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "labels, table_path",
+    [
+        ([0, 3, 1, 2], True),  # span 4 == len
+        ([0, 4, 1, 2], False),  # span 5 == len + 1
+        ([-5, -2, -5, -3], True),
+        ([-5, -1, -5, -3], False),
+        ([I64_MAX, I64_MAX - 2, I64_MAX, I64_MAX - 1], True),
+        ([I64_MIN + 2, I64_MIN, I64_MIN, I64_MIN + 3], True),
+        ([I64_MIN + 3, I64_MIN, I64_MIN, I64_MIN + 4], False),
+        ([7], True),
+    ],
+)
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_table_path_boundary_and_index_dtype(labels, table_path, dtype, table_calls, monkeypatch):
+    """The table path is taken exactly when the label span is at most
+    ``len(labels)``; either path gives ``_index_dtype(len(labels))`` ids."""
+    monkeypatch.setattr(graph_module, "_index_dtype", lambda n: np.dtype(dtype))
+    ids, ordered = _first_appearance_ids(np.asarray(labels, dtype=np.int64))
+    assert table_calls == ([max(labels) - min(labels) + 1] if table_path else [])
+    assert ids.dtype == dtype
+    assert (ids.tolist(), ordered.tolist()) == _first_appearance_oracle(labels)
+
+
+def test_first_appearance_ids_match_dict_oracle_on_random_narrow_labels(table_calls):
+    """Labels within a window no wider than their count, anywhere in the
+    int64 range, take the table path and match the dict relabelling."""
+    rng = np.random.default_rng(12)
+    lows = [I64_MIN, -(2**40), -30, 0, 2**62, None]
+    for trial in range(300):
+        count = int(rng.integers(1, 60))
+        width = int(rng.integers(1, count + 1))
+        low = lows[trial % len(lows)]
+        low = I64_MAX - width + 1 if low is None else low
+        labels = (low + rng.integers(0, width, count)).tolist()
+        ids, ordered = _first_appearance_ids(np.asarray(labels, dtype=np.int64))
+        assert ids.dtype == _index_dtype(count)
+        assert (ids.tolist(), ordered.tolist()) == _first_appearance_oracle(labels)
+    assert len(table_calls) == 300
+
+
+@pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
+def test_narrow_labels_with_negative_minimum_keep_nodes_prefix_order(mode, table_calls):
+    # 13 labels spanning -3..9: the boundary case of the table path.
+    nodes = [4, -3, 9, 4, 0]
+    g = build_graph([(-2, 0), (9, -3), (1, -2), (3, 3)], mode=mode, nodes=nodes)
+    assert table_calls == [13]
+    assert g.node_labels.tolist() == [4, -3, 9, 0, -2, 1, 3]
+    assert g.degrees.tolist()[:4] == [0, 1, 1, 1]
+
+
+@pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
+def test_build_is_the_same_on_narrow_shifted_and_spread_labels(mode, table_calls):
+    """Narrow labels, the same labels + 2**62 (table path far from zero) and
+    the same labels * 2**40 (argsort path) number the nodes alike, so the
+    CSR arrays are equal."""
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        count = int(rng.integers(2, 200))
+        low = int(rng.integers(-1000, 1000))
+        edges = low + rng.integers(0, count, (count, 2))
+        nodes = low + rng.permutation(count)[: int(rng.integers(0, count))]
+        table_calls.clear()
+        built = [
+            build_graph(edges, mode=mode, nodes=nodes),
+            build_graph(edges + 2**62, mode=mode, nodes=nodes + 2**62),
+            build_graph(edges * 2**40, mode=mode, nodes=nodes * 2**40),
+        ]
+        assert len(table_calls) == 2
+        for g in built[1:]:
+            assert np.array_equal(g.indptr, built[0].indptr)
+            assert np.array_equal(g.indices, built[0].indices)
+            assert np.array_equal(g.degrees, built[0].degrees)
+        assert np.array_equal(built[1].node_labels, built[0].node_labels + 2**62)
+        assert np.array_equal(built[2].node_labels, built[0].node_labels * 2**40)
+
+
 @pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
 def test_nodes_only_graph_keeps_first_appearance_order(mode):
     g = build_graph([], mode=mode, nodes=[I64_MAX, -3, I64_MAX, I64_MIN, -3])
