@@ -138,40 +138,48 @@ def _index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32) if n < 2**31 else np.dtype(np.int64)
 
 
-def _first_appearance_ids(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map 1-D integer labels to 0..n-1 in order of first appearance.
+def _first_appearance_ids(
+    labels: np.ndarray, prefix: np.ndarray = np.empty(0, dtype=np.int64)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map 1-D integer labels to 0..n-1 in order of first appearance, the
+    labels of ``prefix`` coming before all of ``labels``.
 
     Returns ``(ids, ordered_labels)`` where ``ids[i]`` is the internal index
     of ``labels[i]`` and ``ordered_labels[k]`` is the original label of
-    internal index k.  ``ids`` has ``_index_dtype(len(labels))``.  Two
-    paths give the same result:
+    internal index k.  ``ids`` has ``_index_dtype(len(prefix) + len(labels))``.
+    Two paths give the same result:
 
-    * Narrow labels, whose span ``max - min + 1`` is at most
-      ``len(labels)`` (SNAP files, whose labels are about 0..n-1, and every
-      ``congen`` graph): a span-sized table, addressed by ``label - min``,
-      takes each label's first position by ``np.minimum.at``.  One sort of
-      the distinct labels' first positions ranks them, the table is
-      overwritten with the ranks, and one ``np.take`` maps every label.
-      The table never outgrows ``labels``.
-    * Any other span: one ``argsort`` groups equal labels, and each group's
-      smallest original position is its first appearance, so the sort need
-      not be stable.
+    * Narrow labels, whose span ``max - min + 1`` over both arrays is at
+      most ``len(prefix) + len(labels)`` (SNAP files, whose labels are about
+      0..n-1, and every ``congen`` graph): a span-sized table, addressed by
+      ``label - min``, takes each label's first position by
+      ``np.minimum.at``, the prefix's positions first.  One sort of the
+      distinct labels' first positions ranks them, the table is overwritten
+      with the ranks, and one ``np.take`` maps every label.  The table never
+      outgrows the two arrays, and ``labels`` is read in place.
+    * Any other span: one ``argsort`` of both arrays, concatenated, groups
+      equal labels, and each group's smallest original position is its
+      first appearance, so the sort need not be stable.
     """
-    dtype = _index_dtype(len(labels))
-    if len(labels):
-        low = labels.min()
+    count = len(prefix) + len(labels)
+    dtype = _index_dtype(count)
+    present = [part for part in (prefix, labels) if len(part)]
+    if present:
+        low = min(part.min() for part in present)
         # Python ints: the int64 difference of the int64 extremes overflows.
-        span = int(labels.max()) - int(low) + 1
-        if span <= len(labels):
-            return _first_appearance_by_table(labels, low, span, dtype)
+        span = int(max(part.max() for part in present)) - int(low) + 1
+        if span <= count:
+            return _first_appearance_by_table(prefix, labels, low, span, dtype)
+    if len(prefix):
+        labels = np.concatenate([prefix, labels])
     # Allocated first, so the temporaries freed above it can go back to the system.
-    ids = np.empty(len(labels), dtype=dtype)
+    ids = np.empty(count, dtype=dtype)
     order = np.argsort(labels).astype(dtype, copy=False)
     sorted_labels = labels[order]
     starts = _group_starts(sorted_labels)
     del sorted_labels
     first_pos = np.minimum.reduceat(order, np.flatnonzero(starts))
-    is_first = np.zeros(len(labels), dtype=bool)
+    is_first = np.zeros(count, dtype=bool)
     is_first[first_pos] = True
     ordered_labels = labels[is_first]
     rank = np.cumsum(is_first, dtype=dtype)
@@ -182,26 +190,38 @@ def _first_appearance_ids(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del starts
     group -= 1
     ids[order] = rank[group]
-    return ids, ordered_labels
+    return ids[len(prefix) :], ordered_labels
 
 
 def _first_appearance_by_table(
-    labels: np.ndarray, low: np.integer, span: int, dtype: np.dtype
+    prefix: np.ndarray, labels: np.ndarray, low: np.integer, span: int, dtype: np.dtype
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The table path of ``_first_appearance_ids``: ``labels`` lie in
-    ``low .. low + span - 1`` and ``span <= len(labels)``."""
-    count = len(labels)
-    # Holds the positions first and the ids last; allocated before the
-    # temporaries, so their space can go back to the system.
-    ids = np.arange(count, dtype=dtype)
+    """The table path of ``_first_appearance_ids``: ``prefix`` and ``labels``
+    lie in ``low .. low + span - 1`` and ``span <= len(prefix) + len(labels)``.
+    Position p < ``len(prefix)`` is ``prefix[p]``, and any later p is
+    ``labels[p - len(prefix)]``."""
+    start = len(prefix)
+    count = start + len(labels)
+    # Holds the positions of ``labels`` first and their ids last; allocated
+    # before the temporaries, so their space can go back to the system.
+    ids = np.arange(start, count, dtype=dtype)
+    # A copy even when ``low`` is 0: freeing it raises glibc's mmap
+    # threshold to its size, so later arrays up to that size reuse freed
+    # heap instead of faulting in fresh mappings.
     offset = labels - low
     # A label's entry holds its first position; ``count`` marks an absent one.
     table = np.full(span, count, dtype=dtype)
+    # Every prefix position is below every position of ``labels``.
+    np.minimum.at(table, prefix - low, np.arange(start, dtype=dtype))
     np.minimum.at(table, offset, ids)
     first_pos = table[table < count]
     first_pos.sort()
-    ordered_labels = labels[first_pos]
-    table[offset[first_pos]] = np.arange(len(first_pos), dtype=dtype)
+    split = np.searchsorted(first_pos, start)
+    first_pos[split:] -= start
+    ordered_labels = labels[first_pos[split:]]
+    if split:
+        ordered_labels = np.concatenate([prefix[first_pos[:split]], ordered_labels])
+    table[ordered_labels - low] = np.arange(len(first_pos), dtype=dtype)
     # Every offset is in range; "clip" also spares the copy of ``out`` that
     # the default "raise" makes.
     np.take(table, offset, out=ids, mode="clip")
@@ -255,11 +275,8 @@ def build_graph(
     if pairs.shape[0] == 0 and extra.size == 0:
         raise ValueError("empty edge list and no nodes given: graph is undefined")
 
-    # Without extra nodes the endpoints are read in place, not copied.
-    flat = np.concatenate([extra, pairs.reshape(-1)]) if extra.size else pairs.reshape(-1)
-    ids, labels = _first_appearance_ids(flat)
-    del flat
-    ids = ids[extra.size :].reshape(pairs.shape)
+    ids, labels = _first_appearance_ids(pairs.reshape(-1), extra)
+    ids = ids.reshape(pairs.shape)
     n = len(labels)
 
     # Both orientations' packed keys ``a*n + b`` and ``b*n + a`` go into one
@@ -446,60 +463,120 @@ def degree_stats(g: Graph, density_convention: str = TABLE1) -> DegreeStats:
     )
 
 
-def _edge_endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Internal endpoints ``(a, b)`` with ``a <= b`` of every edge, once each."""
-    row = np.repeat(np.arange(g.node_count, dtype=np.int64), g.degrees)
-    col = g.indices
-    upper = col > row
-    # A self-loop occupies two slots in its row; keep it once.
-    loops = np.flatnonzero(col == row)[::2]
-    return (
-        np.concatenate([row[upper], row[loops]]),
-        np.concatenate([col[upper], col[loops]]),
-    )
+def _edge_entries(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The row of every CSR entry, and a mask keeping each edge once: the
+    entries above the diagonal and every second one on it (a self-loop
+    fills two slots of its row)."""
+    row = np.repeat(np.arange(g.node_count, dtype=g.indices.dtype), g.degrees)
+    keep = g.indices > row
+    keep[np.flatnonzero(g.indices == row)[::2]] = True
+    return row, keep
 
 
-#: Lines per batch of ``_edge_dump_chunks``; bounds its byte matrix at
-#: ``_DUMP_CHUNK * (2*w + 2)`` bytes for labels of at most ``w`` characters
-#: (about 2.9 MB at the 20 characters of ``-2**63``).
-_DUMP_CHUNK = 1 << 16
+#: Lines per batch of ``_edge_dump_chunks``.  For labels of at most ``w``
+#: characters a batch holds a line matrix and its mask of
+#: ``_DUMP_CHUNK * (2*w + 2)`` bytes each, two int64 rank buffers and two
+#: gathers of ``_DUMP_CHUNK * w`` bytes: 2.3 MB at the 20 characters of
+#: ``-2**63``, 0.9 MB for labels below a million (6 characters).
+_DUMP_CHUNK = 1 << 14
+
+#: ``10**k`` for k = 1..19, every power of ten below ``2**64``.
+_POWERS_OF_TEN = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 
 
-def _edge_dump_chunks(g: Graph) -> Iterator[bytes]:
-    """The edge dump as bytes, ``_DUMP_CHUNK`` lines per chunk.
+def _label_text(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each int64 label's decimal text, left-aligned and NUL-padded, as an
+    ``(n, 8 * ceil(w / 8))`` uint8 matrix, and ``w``, the longest text's
+    length.  The first ``w`` columns equal ``labels.astype(f"S{w}")``.
+
+    Digits are cut off the uint64 magnitude from the right, one vectorized
+    pass per digit over the labels that still have one.  Every operand is
+    a uint64 array or scalar: numpy 1.x computes uint64 mixed with a
+    signed value in float64.
+    """
+    count = len(labels)
+    negative = labels < 0
+    magnitude = labels.astype(np.uint64)
+    # Two's complement: -label modulo 2**64, exact for -2**63 too.
+    np.negative(magnitude, out=magnitude, where=negative)
+    # The column of each text's last digit, then its flat position.
+    pos = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right")
+    pos += negative
+    w = int(pos.max()) + 1
+    width = -(-w // 8) * 8
+    text = np.zeros((count, width), dtype=np.uint8)
+    text[negative, 0] = ord("-")
+    pos += np.arange(0, count * width, width)
+    flat = text.reshape(-1)
+    ten, zero = np.uint64(10), np.uint64(ord("0"))
+    while len(magnitude):
+        quotient = magnitude // ten
+        magnitude -= quotient * ten
+        magnitude += zero
+        flat[pos] = magnitude
+        more = quotient.astype(bool)
+        magnitude = quotient[more]
+        pos = pos[more]
+        pos -= 1
+    return text, w
+
+
+def _text_order(text: np.ndarray) -> np.ndarray:
+    """The row order of a uint8 matrix of ``8 * k`` columns sorted bytewise:
+    its rows read as k big-endian uint64 words compare like their bytes."""
+    words = text.view(">u8")
+    if words.shape[1] == 1:
+        return np.argsort(words[:, 0])
+    return np.lexsort(words.T[::-1])
+
+
+def _edge_dump_chunks(g: Graph) -> Iterator[np.ndarray]:
+    """The edge dump as uint8 arrays of bytes, ``_DUMP_CHUNK`` lines each.
 
     Each edge appears once as ``b"<u>\\t<v>\\n"`` of original labels, with
     u's internal index not greater than v's, and the lines are sorted
     bytewise.  No Python object is made per edge: each label is formatted
     once and a batch's lines are assembled in one byte matrix.
     """
-    # Each label's text, NUL-padded to the widest one.  Decimal text holds
-    # no NUL byte, so dropping a row's zero bytes removes exactly the
-    # padding, and the padded texts sort like the texts themselves.
-    labels = g.node_labels
-    w = max(len(str(labels.min())), len(str(labels.max())))
-    text = labels.astype(f"S{w}")
-    a, b = _edge_endpoints(g)
-    # The tab sorts below every character of an integer label, so the
-    # line order is the order of (str(u), str(v)): sort the edges by the
-    # text rank of each endpoint's label instead of sorting the lines.
-    n = np.int64(g.node_count)
-    by_text = np.argsort(text)
-    text_rank = np.empty(g.node_count, dtype=np.int64)
-    text_rank[by_text] = np.arange(g.node_count, dtype=np.int64)
-    key = text_rank[a] * n + text_rank[b]
-    del a, b, text_rank
+    # Decimal text holds no NUL byte, so dropping a line's zero bytes
+    # removes exactly the padding, and the padded texts sort like the texts
+    # themselves.
+    n = g.node_count
+    text, w = _label_text(g.node_labels)
+    by_text = _text_order(text)
+    dtype = g.indices.dtype
+    text_rank = np.empty(n, dtype=dtype)
+    text_rank[by_text] = np.arange(n, dtype=dtype)
+    text = text[by_text, :w].view(f"V{w}").reshape(-1)
+    del by_text
+    # The tab sorts below every character of an integer label, so the line
+    # order is the order of (text(u), text(v)): sort the edges by the text
+    # rank of each endpoint's label instead of sorting the lines.
+    row, keep = _edge_entries(g)
+    row = text_rank[row[keep]]
+    col = text_rank[g.indices[keep]]
+    del keep, text_rank
+    key = np.multiply(row, n, dtype=np.int64)
+    key += col
+    del row, col
     key.sort()
-    text = text[by_text].view(np.uint8).reshape(-1, w)
-    rows = np.empty((min(len(key), _DUMP_CHUNK), 2 * w + 2), dtype=np.uint8)
-    rows[:, w] = ord("\t")
-    rows[:, -1] = ord("\n")
+
+    size = min(len(key), _DUMP_CHUNK)
+    lines = np.empty((size, 2 * w + 2), dtype=np.uint8)
+    lines[:, w] = ord("\t")
+    lines[:, -1] = ord("\n")
+    first = lines[:, :w].view(f"V{w}")[:, 0]
+    second = lines[:, w + 1 : -1].view(f"V{w}")[:, 0]
+    u, v = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    mask = np.empty(lines.shape, dtype=bool)
     for lo in range(0, len(key), _DUMP_CHUNK):
         part = key[lo : lo + _DUMP_CHUNK]
-        batch = rows[: len(part)]
-        batch[:, :w] = text[part // n]
-        batch[:, w + 1 : -1] = text[part % n]
-        yield batch[batch != 0].tobytes()
+        k = len(part)
+        np.divmod(part, n, out=(u[:k], v[:k]))
+        first[:k] = text[u[:k]]
+        second[:k] = text[v[:k]]
+        np.not_equal(lines[:k], 0, out=mask[:k])
+        yield lines[:k][mask[:k]]
 
 
 def edge_dump_lines(g: Graph) -> list[str]:
@@ -514,7 +591,8 @@ def edge_dump_lines(g: Graph) -> list[str]:
 
 def write_edge_dump(g: Graph, path: str | Path) -> None:
     """Write the lines of ``edge_dump_lines(g)`` to ``path``, each ended by
-    ``\\n``, one ``_DUMP_CHUNK`` batch per write."""
+    ``\\n``, one ``_DUMP_CHUNK`` batch per write, each straight from its
+    array."""
     with open(path, "wb") as fh:
         for chunk in _edge_dump_chunks(g):
             fh.write(chunk)
@@ -536,8 +614,8 @@ def same_labelled_graph(g1: Graph, g2: Graph) -> bool:
 
 def _labelled_edges(g: Graph) -> np.ndarray:
     """Edges as sorted ``(min label, max label)`` rows of an (m, 2) array."""
-    a, b = _edge_endpoints(g)
-    u, v = g.node_labels[a], g.node_labels[b]
+    row, keep = _edge_entries(g)
+    u, v = g.node_labels[row[keep]], g.node_labels[g.indices[keep]]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.lexsort((hi, lo))
     return np.column_stack([lo[order], hi[order]])

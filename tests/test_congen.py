@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,27 @@ class TestGeneration:
         write_edge_dump(g, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         assert info["attempts"] == (2 if policy == REJECT else 1)
+
+    def test_generate_and_dump_memory_stay_bounded(self, tmp_path):
+        """Traced peaks on a 100,000-node POWERLAW graph, the same on every
+        run: ``generate`` holds at most 3.5 times its stub array, and
+        ``write_edge_dump`` at most 2.2 times the graph's arrays."""
+
+        def traced_peak(call):
+            tracemalloc.start()
+            try:
+                result = call()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        spec = DegreeSequenceSpec.power_law(2.5, 4, 100_000, seed=1, simple_policy=ERASE)
+        degrees = sample_degree_sequence(spec)
+        (g, _), peak = traced_peak(lambda: generate(degrees, seed=1, simple_policy=ERASE))
+        assert peak <= 3.5 * degrees.sum() * 8
+        arrays = g.indptr.nbytes + g.indices.nbytes + g.degrees.nbytes + g.node_labels.nbytes
+        _, peak = traced_peak(lambda: write_edge_dump(g, tmp_path / "edges.txt"))
+        assert peak <= 2.2 * arrays
 
     def test_erase_only_removes(self):
         seq = [4, 4, 3, 3, 2, 2, 1, 1]

@@ -74,9 +74,9 @@ def table_calls(monkeypatch):
     calls = []
     table = graph_module._first_appearance_by_table
 
-    def spy(labels, low, span, dtype):
+    def spy(prefix, labels, low, span, dtype):
         calls.append(span)
-        return table(labels, low, span, dtype)
+        return table(prefix, labels, low, span, dtype)
 
     monkeypatch.setattr(graph_module, "_first_appearance_by_table", spy)
     return calls
@@ -165,6 +165,67 @@ def test_nodes_only_graph_keeps_first_appearance_order(mode):
     assert g.node_labels.tolist() == [I64_MAX, -3, I64_MIN]
     assert g.degrees.tolist() == [0, 0, 0]
     assert g.indptr.tolist() == [0, 0, 0, 0] and g.indices.size == 0
+
+
+@pytest.mark.parametrize(
+    "prefix, labels, table_path",
+    [
+        ([0, 4, 4], [1, 2], True),  # span 5 == 3 prefix + 2 endpoint labels
+        ([0, 5, 5], [1, 2], False),  # span 6
+        ([-7, -7, -3], [-5, -6, -4, -3], True),  # span 5 <= 7
+        ([2, 9], [], False),  # span 8 > 2
+        ([2, 3], [], True),
+    ],
+)
+def test_table_path_span_bound_counts_the_prefix(prefix, labels, table_path, table_calls, monkeypatch):
+    """The span is taken over the prefix and the endpoints, and bounded by
+    their combined length, which also sizes the ids' dtype."""
+    sizes = []
+    monkeypatch.setattr(graph_module, "_index_dtype", lambda n: sizes.append(n) or np.dtype(np.int64))
+    ids, ordered = _first_appearance_ids(
+        np.asarray(labels, dtype=np.int64), np.asarray(prefix, dtype=np.int64)
+    )
+    assert table_calls == ([max(prefix + labels) - min(prefix + labels) + 1] if table_path else [])
+    assert sizes == [len(prefix) + len(labels)]
+    expected_ids, expected_order = _first_appearance_oracle(prefix + labels)
+    assert (ids.tolist(), ordered.tolist()) == (expected_ids[len(prefix) :], expected_order)
+
+
+def _build_with_concatenated_prefix(edges, mode, nodes):
+    """``build_graph(edges, mode, nodes)`` as it was with the prefix
+    concatenated in front of the endpoints: relabel the joined array, then
+    build on the ids, which an ``arange`` prefix maps to themselves."""
+    flat = np.concatenate([np.asarray(nodes, dtype=np.int64), np.asarray(edges).reshape(-1)])
+    ids, labels = _first_appearance_ids(flat)
+    ids = ids[len(nodes) :].reshape(-1, 2)
+    g = build_graph(ids, mode=mode, nodes=np.arange(len(labels)))
+    assert g.node_labels.tolist() == list(range(len(labels)))
+    return g, labels
+
+
+@pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
+@pytest.mark.parametrize("scale", [1, 2**40], ids=["table", "argsort"])
+def test_nodes_prefix_matches_concatenating_reference(mode, scale, table_calls):
+    """Prefixes that repeat labels, hold labels absent from the edges and
+    have negative minima give the arrays of the concatenating build."""
+    rng = np.random.default_rng(14)
+    for _ in range(100):
+        k, extra = int(rng.integers(0, 30)), int(rng.integers(0, 30))
+        # The prefix holds both ends of a window no wider than the labels.
+        width = int(rng.integers(2, 2 * k + extra + 3))
+        low = int(rng.integers(-1000, 0))
+        edges = low + rng.integers(0, width, (k, 2))
+        nodes = low + np.concatenate([[width - 1], rng.integers(0, width, extra), [0]])
+        edges, nodes = edges * scale, nodes * scale
+        table_calls.clear()
+        g = build_graph(edges, mode=mode, nodes=nodes)
+        assert len(table_calls) == (scale == 1)
+        ref, labels = _build_with_concatenated_prefix(edges, mode, nodes)
+        assert np.array_equal(g.node_labels, labels)
+        for name in ("indptr", "indices", "degrees", "node_labels"):
+            assert getattr(g, name).dtype == getattr(ref, name).dtype
+        for name in ("indptr", "indices", "degrees"):
+            assert np.array_equal(getattr(g, name), getattr(ref, name))
 
 
 def test_raw_multiset_keeps_duplicates_and_loops():
@@ -401,6 +462,35 @@ class TestDegreeStats:
         assert sorted(s.degree_sequence.tolist()) == [2, 2, 2]
 
 
+_LABEL_SETS = {
+    "zero": [0],
+    "small": [0, 1, -1, 9, 10, 99, 100, -9, -10, -99, -100],
+    "eight_chars": [99_999_999, -9_999_999, 7, -1],  # one word
+    "nine_chars": [100_000_000, -10_000_000, 99_999_999, 0],  # two words
+    "around_1e18": [10**18 - 1, 10**18, 10**18 + 1, -(10**18) - 1, -(10**18), 5],
+    "extremes": [I64_MIN, I64_MAX, I64_MIN + 1, I64_MAX - 1, 0, -1],
+}
+
+
+@pytest.mark.parametrize("name", [*_LABEL_SETS, "random", "random_narrow"])
+def test_label_text_is_astype_and_its_order_is_argsort(name):
+    rng = np.random.default_rng(15)
+    if name == "random":
+        labels = rng.integers(I64_MIN, I64_MAX, 2_000, endpoint=True)
+    elif name == "random_narrow":
+        labels = rng.integers(-(10**7) + 1, 10**8, 2_000)
+    else:
+        labels = np.asarray(_LABEL_SETS[name], dtype=np.int64)
+    labels = rng.permutation(np.unique(labels))
+    text, w = graph_module._label_text(labels)
+    expected = labels.astype(f"S{w}")
+    assert w == max(len(str(x)) for x in labels.tolist())
+    assert text.dtype == np.uint8 and text.shape == (len(labels), 8 * -(-w // 8))
+    assert np.array_equal(np.ascontiguousarray(text[:, :w]).view(f"S{w}").ravel(), expected)
+    assert not text[:, w:].any()
+    assert np.array_equal(graph_module._text_order(text), np.argsort(expected))
+
+
 def _dump_from_adjacency(g) -> list[str]:
     """The edge dump formatted one line at a time from ``g.neighbors``:
     each edge once as ``"<u>\\t<v>\\n"``, u's index not above v's, sorted."""
@@ -463,11 +553,12 @@ class TestEdgeDump:
             assert same_labelled_graph(g, rebuilt)
 
     def test_written_dump_is_the_lines_in_chunks(self, tmp_path, monkeypatch):
-        # Batches of 3 lines whose labels range from one digit to the
-        # 20-character int64 minimum, so short labels share a batch, and its
-        # padding, with the widest ones.
-        monkeypatch.setattr(graph_module, "_DUMP_CHUNK", 3)
+        # Batches of up to 16384, 3 and 1 lines whose labels range from one
+        # digit to the 20-character int64 minimum, so short labels share a
+        # batch, and its padding, with the widest ones.
         chains = [[(i, i + 1) for i in range(k)] for k in (0, 1, 3, 4, 7)]
+        # Labels of 9 to 16 characters: two words of text.
+        chains.append([(10**8 + i, -(10**14) - i) for i in range(5)])
         mixed = [[0, I64_MIN], [-3, I64_MAX], [7, 7], [I64_MAX, 5]]
         labels = [0, 1, 7, -3, -45, 12, I64_MIN, I64_MAX]
         rng = np.random.default_rng(11)
@@ -475,12 +566,16 @@ class TestEdgeDump:
         # Repeated lines and self-loops, which RAW_MULTISET keeps.
         extras = [[I64_MIN, I64_MIN], [1, 1]]
         graphs = [*chains, *([*e, *e[:2], *extras] for e in [mixed, *drawn])]
-        for k, edges in enumerate(graphs):
-            for mode in (RAW_MULTISET, SIMPLE):
-                g = build_graph(edges, mode=mode, nodes=[0])
-                path = tmp_path / f"dump{k}{mode}.txt"
-                write_edge_dump(g, path)
-                assert path.read_bytes() == "".join(_dump_from_adjacency(g)).encode()
+        for chunk in (1 << 14, 3, 1):
+            monkeypatch.setattr(graph_module, "_DUMP_CHUNK", chunk)
+            for k, edges in enumerate(graphs):
+                for mode in (RAW_MULTISET, SIMPLE):
+                    g = build_graph(edges, mode=mode, nodes=[0])
+                    path = tmp_path / f"dump{k}{mode}.txt"
+                    write_edge_dump(g, path)
+                    expected = _dump_from_adjacency(g)
+                    assert path.read_bytes() == "".join(expected).encode()
+                    assert edge_dump_lines(g) == [line[:-1] for line in expected]
 
     def test_simple_rebuild_is_idempotent(self):
         rng = np.random.default_rng(5)
