@@ -8,6 +8,14 @@ null-model comparisons.  ``netpatrimony.cli`` exposes the same pipeline as
 a batch command-line tool.
 """
 
+import os
+import sys
+
+# Nothing here calls BLAS: spare every start OpenBLAS's thread per core.  Only
+# numpy's first import reads this, and a value the caller set is kept.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .congen import (
     ERASE,
     EXPLICIT,

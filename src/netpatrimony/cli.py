@@ -73,67 +73,59 @@ def _json_safe(value):
     return value
 
 
-#: Rows formatted per batch by ``_write_csv``; bounds the temporary
-#: Python strings alive at once.  Each batch is joined and written before
-#: the next one is built.
-_CSV_CHUNK = 4096
-
-
-def _needs_quotes(text: str) -> bool:
-    """Whether ``text`` holds a comma, a quote or a line break."""
-    return any(c in text for c in ',"\r\n')
+#: Rows per batch of ``_write_csv``: a byte matrix and a mask of this many
+#: rows, each as wide as the widest cells of all columns together.
+_CSV_CHUNK = 2048
 
 
 def _quote(cell: str) -> str:
-    """A cell as ``csv.QUOTE_MINIMAL`` writes it: quoted, with inner quotes
-    doubled, when it needs quotes."""
-    if _needs_quotes(cell):
+    """A cell as ``csv.QUOTE_MINIMAL`` writes it, inner quotes doubled."""
+    if any(c in cell for c in ',"\r\n'):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
 
-def _column_cells(column) -> list[str]:
-    """CSV cells of one column as ``_fmt`` gives them, text quoted by
-    ``_quote``.  A text array's cells are quoted only when their
-    concatenation needs quotes, so one scan clears a batch of plain
-    labels.  Numeric arrays are formatted in bulk (``"%.6g" %`` equals
-    ``format(x, ".6g")`` and is faster) and never need quotes."""
-    if not isinstance(column, np.ndarray):
-        return [_quote(_fmt(value)) for value in column]
-    if column.dtype.kind in "OU":
-        cells = column.tolist()
-        if _needs_quotes("".join(cells)):
-            cells = list(map(_quote, cells))
-        return cells
-    if column.dtype.kind != "f":
-        return list(map(str, column.tolist()))
-    cells = list(map("%.6g".__mod__, column.tolist()))
-    for i in np.flatnonzero(np.isnan(column)).tolist():
-        cells[i] = ""
-    return cells
-
-
-def _degree_cells(
-    degrees: np.ndarray, classes: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Cells of a per-node column whose value depends only on the node's
-    degree, ``values[k]`` being the value at degree ``classes[k]``.  Each
-    value is formatted once and every node takes its degree's cell; a
-    degree missing from ``classes`` gets an empty cell."""
-    table = np.full(int(degrees.max(initial=0)) + 1, "", dtype=object)
-    table[classes] = _column_cells(values)
-    return table[degrees]
+def _cell_table(column) -> tuple[np.ndarray, np.ndarray | None]:
+    """A column's CSV cells as a NUL-padded ``S`` array of UTF-8 bytes and
+    each row's code in it (None: row i is cell i).  A column is a numpy array,
+    a list, or ``(values, codes)`` with row i ``values[codes[i]]``.  Each
+    distinct float bit pattern is formatted once (so ``-0.0`` keeps its sign
+    and NaN is empty), integers by ``graph._label_text``, the rest by cell."""
+    if isinstance(column, tuple):
+        cells, inner = _cell_table(column[0])
+        return (cells if inner is None else cells[inner]), column[1]
+    if isinstance(column, np.ndarray) and column.dtype.kind == "i":
+        text, w = graph._label_text(column.astype(np.int64, copy=False))
+        return text[:, :w].view(f"S{w}")[:, 0], None
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        bits, codes = np.unique(column.view(np.int64), return_inverse=True)
+        cells = np.array(list(map("%.6g".__mod__, bits.view(float).tolist())), dtype="S")
+        cells[np.isnan(bits.view(float))] = b""  # as _fmt gives a NaN
+        return cells, codes
+    return np.array([_quote(_fmt(x)).encode() for x in column], dtype="S"), None
 
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """Write equal-length columns (numpy arrays or lists) under ``header``
-    in the bytes ``csv.writer`` writes: CRLF line ends, minimal quoting."""
-    rows = len(columns[0])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    """Write equal-length columns (see ``_cell_table``) under ``header`` in
+    the bytes ``csv.writer`` writes: CRLF line ends, minimal quoting.  Each
+    batch of rows is gathered into one reused byte matrix, commas and line
+    ends laid in once, and written without its NUL padding (no cell has one)."""
+    tables = [_cell_table(col) for col in columns]
+    rows = max(len(cells if codes is None else codes) for cells, codes in tables)
+    widths = [cells.itemsize for cells, _ in tables]
+    lines = np.full((min(rows, _CSV_CHUNK), sum(widths) + len(widths) + 1), ord(","), np.uint8)
+    lines[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    ends = np.cumsum(widths) + np.arange(len(widths))
+    fields = [lines[:, end - w : end].view(f"S{w}")[:, 0] for end, w in zip(ends, widths)]
+    mask = np.empty(lines.shape, dtype=bool)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for lo in range(0, rows, _CSV_CHUNK):
-            cells = [_column_cells(col[lo : lo + _CSV_CHUNK]) for col in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            k = min(rows - lo, _CSV_CHUNK)
+            for field, (cells, codes) in zip(fields, tables):
+                field[:k] = cells[lo : lo + k] if codes is None else cells[codes[lo : lo + k]]
+            np.not_equal(lines[:k], 0, out=mask[:k])
+            fh.write(lines[:k][mask[:k]])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -248,11 +240,10 @@ def cmd_stats(args) -> int:
 
 def cmd_knn(args) -> int:
     outdir, g, _, profile = _analyse(args)
-    occurring, _ = metrics.degree_histogram(g.degrees)
     _write_csv(
         outdir / "knn_node.csv",
         ["node_label", "degree", "knn_i"],
-        [g.node_labels, _degree_cells(g.degrees, occurring, occurring), profile.knn_node],
+        [g.node_labels, (np.arange(g.degrees.max(initial=0) + 1), g.degrees), profile.knn_node],
     )
     _write_csv(
         outdir / "knn_class.csv",
@@ -267,24 +258,24 @@ def cmd_nip(args) -> int:
     scores = nip.nip_scores(
         g, scale=args.scale, tolerance=args.tolerance, stats=stats, knn=profile
     )
-    # ip_i depends only on d_i: read it off one node of each occurring degree.
-    occurring, _ = metrics.degree_histogram(g.degrees)
-    node_of_degree = np.zeros(int(g.degrees.max(initial=0)) + 1, dtype=np.int64)
-    node_of_degree[g.degrees] = np.arange(g.node_count)
-    class_degrees = np.fromiter(scores.nip_class, dtype=np.int64)
-    class_values = np.fromiter(scores.nip_class.values(), dtype=float)
+    # Degree-valued cells come from tables by degree; labels are coded without a sort.
+    degree = np.arange(g.degrees.max(initial=0) + 1)
+    ip = np.zeros(len(degree))
+    ip[g.degrees] = scores.ip
+    codes = np.arange(len(nip.CLASSES), dtype=np.int8)
+    classes = np.select([scores.classification == c for c in nip.CLASSES], codes)
     _write_csv(
         outdir / "nip_node.csv",
         ["node_label", "degree", "knn_i", "ip", "nip", "class_nip", "classification", "scale"],
         [
             g.node_labels,
-            _degree_cells(g.degrees, occurring, occurring),
+            (degree, g.degrees),
             profile.knn_node,
-            _degree_cells(g.degrees, occurring, scores.ip[node_of_degree[occurring]]),
+            (ip, g.degrees),
             scores.nip_node,
-            _degree_cells(g.degrees, class_degrees, class_values),
-            scores.classification,
-            np.broadcast_to(np.array(args.scale, dtype=object), g.node_count),
+            (nip.node_class_means(scores.nip_class, degree), g.degrees),
+            (list(nip.CLASSES), classes),
+            ([args.scale], np.broadcast_to(np.int8(0), g.node_count)),
         ],
     )
     _write_csv(

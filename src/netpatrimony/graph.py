@@ -502,7 +502,7 @@ def _label_text(labels: np.ndarray) -> tuple[np.ndarray, int]:
     # The column of each text's last digit, then its flat position.
     pos = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right")
     pos += negative
-    w = int(pos.max()) + 1
+    w = int(pos.max(initial=0)) + 1
     width = -(-w // 8) * 8
     text = np.zeros((count, width), dtype=np.uint8)
     text[negative, 0] = ord("-")

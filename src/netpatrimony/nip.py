@@ -36,6 +36,7 @@ OVER = "OVER"
 UNDER = "UNDER"
 AT_PAR = "AT_PAR"
 UNDEFINED = "UNDEFINED"
+CLASSES = (UNDEFINED, OVER, UNDER, AT_PAR)
 
 DEFAULT_TOLERANCE = 1e-9
 

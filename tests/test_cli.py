@@ -4,12 +4,16 @@ import functools
 import gzip
 import json
 import lzma
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import netpatrimony
 from netpatrimony import (
     NORMALIZED,
     RAW,
@@ -378,25 +382,38 @@ def test_report_csv_bytes_match_row_wise_writer(tmp_path, capsys, monkeypatch):
     assert b'\r\n"net,work",RAW_MULTISET,NO_REFERENCE,' in got
 
 
-def test_write_csv_quotes_text_cells_like_csv_writer(tmp_path, monkeypatch):
-    """Text cells holding quotes, commas and line breaks, in lists and in
-    str and object arrays, next to numeric arrays, across several row
-    batches, one of which holds only text that needs no quotes."""
-    monkeypatch.setattr(cli, "_CSV_CHUNK", 2)
-    texts = ['say "hi"', "a,b", "two\nlines", "cr\rhere", "", 'x,"y"\n', "plain"]
-    floats = np.array([0.5, np.nan, 1e-7, 123456789.0, -2.0, 3.25, np.inf])
-    ints = np.array([1, -2, 2**62, 0, 5, 6, -(2**63)])
-    header = ["text", "float", "int", "mixed", "str_array", "object_array"]
-    mixed = [1.5, float("nan"), 7, "t,u", "", "v", 'w"']
+@pytest.mark.parametrize("chunk", [1, 2, 3, cli._CSV_CHUNK])
+def test_write_csv_quotes_text_cells_like_csv_writer(tmp_path, monkeypatch, chunk):
+    """Text cells holding quotes, commas, line breaks and non-ASCII
+    characters, in lists and in str, object and broadcast arrays, next to
+    floats of either sign (zero, NaN, infinity), an all-NaN column, integers
+    and coded columns, across row batches of several sizes."""
+    monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+    texts = ['say "hi"', "a,b", "two\nlines", "cr\rhere", "", 'x,"y"\n', "plain", "café", "naïve,ü"]
+    negative_nan = np.copysign(np.nan, -1.0)
+    floats = np.array([0.5, np.nan, 1e-7, 123456789.0, -0.0, negative_nan, -np.inf, np.inf, 0.0])
+    assert len(np.unique(floats.view(np.int64))) == len(floats)  # both NaNs and zeros differ
+    ints = np.array([1, -2, 2**62, 0, 5, 6, -(2**63), 2**63 - 1, -(10**12)])
+    mixed = [1.5, float("nan"), 7, "t,u", "", "v", 'w"', -0.0, "ü"]
     reversed_texts = texts[::-1]
+    codes = np.array([2, 0, 1, 1, 2, 0, 0, 1, 2])
+    coded_floats, coded_texts = np.array([-0.0, negative_nan, 2.5]), ["é", "q,r", 'z"']
+    header = ["text", "float", "int", "mixed", "str_array", "object_array", "all_nan",
+              "broadcast", "coded_float", "coded_text"]
     path = tmp_path / "t.csv"
     cli._write_csv(
         path,
         header,
-        [texts, floats, ints, mixed, np.array(texts), np.array(reversed_texts, dtype=object)],
+        [texts, floats, ints, mixed, np.array(texts), np.array(reversed_texts, dtype=object),
+         np.full(len(texts), np.nan), np.broadcast_to(np.array("ö,x", dtype=object), len(texts)),
+         (coded_floats, codes), (coded_texts, codes)],
     )
-    rows = zip(texts, floats.tolist(), ints.tolist(), mixed, texts, reversed_texts)
+    rows = zip(texts, floats.tolist(), ints.tolist(), mixed, texts, reversed_texts,
+               [float("nan")] * len(texts), ["ö,x"] * len(texts),
+               coded_floats[codes].tolist(), [coded_texts[c] for c in codes])
     assert path.read_bytes() == oracles.csv_bytes(header, rows)
+    cli._write_csv(path, header[:3], [[], np.array([]), np.array([], dtype=np.int64)])
+    assert path.read_bytes() == oracles.csv_bytes(header[:3], [])
 
 
 def test_missing_input_is_input_error(tmp_path, capsys):
@@ -684,3 +701,23 @@ def test_copurchase_degree_distribution_shape(tmp_path):
     mode_degree = max(counts, key=counts.get)
     assert mode_degree <= 5
     assert max(counts) >= 100 * mode_degree
+
+
+@pytest.mark.parametrize(
+    "preset, numpy_first, expected",
+    [(None, False, "1"), ("3", False, "3"), (None, True, "None")],
+)
+def test_import_starts_openblas_with_one_thread(preset, numpy_first, expected):
+    """Importing the package before numpy sets OPENBLAS_NUM_THREADS to 1,
+    keeps a value already set, and sets nothing once numpy is loaded."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    package_root = str(Path(netpatrimony.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import os, netpatrimony; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    if numpy_first:
+        code = "import numpy; " + code
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == expected
