@@ -58,6 +58,7 @@ from .metrics import (
 )
 from .nip import (
     AT_PAR,
+    CLASSES,
     NORMALIZED,
     OVER,
     RAW,
@@ -77,6 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AT_PAR",
+    "CLASSES",
     "DegreeSequenceSpec",
     "DegreeStats",
     "ERASE",

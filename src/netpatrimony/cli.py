@@ -73,11 +73,6 @@ def _json_safe(value):
     return value
 
 
-#: Rows per batch of ``_write_csv``: a byte matrix and a mask of this many
-#: rows, each as wide as the widest cells of all columns together.
-_CSV_CHUNK = 2048
-
-
 def _quote(cell: str) -> str:
     """A cell as ``csv.QUOTE_MINIMAL`` writes it, inner quotes doubled."""
     if any(c in cell for c in ',"\r\n'):
@@ -107,25 +102,16 @@ def _cell_table(column) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """Write equal-length columns (see ``_cell_table``) under ``header`` in
-    the bytes ``csv.writer`` writes: CRLF line ends, minimal quoting.  Each
-    batch of rows is gathered into one reused byte matrix, commas and line
-    ends laid in once, and written without its NUL padding (no cell has one)."""
+    the bytes ``csv.writer`` writes: CRLF line ends, minimal quoting."""
     tables = [_cell_table(col) for col in columns]
     rows = max(len(cells if codes is None else codes) for cells, codes in tables)
-    widths = [cells.itemsize for cells, _ in tables]
-    lines = np.full((min(rows, _CSV_CHUNK), sum(widths) + len(widths) + 1), ord(","), np.uint8)
-    lines[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-    ends = np.cumsum(widths) + np.arange(len(widths))
-    fields = [lines[:, end - w : end].view(f"S{w}")[:, 0] for end, w in zip(ends, widths)]
-    mask = np.empty(lines.shape, dtype=bool)
+
+    def gather(lo: int, hi: int) -> list[np.ndarray]:
+        return [cells[lo:hi] if codes is None else cells[codes[lo:hi]] for cells, codes in tables]
+
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for lo in range(0, rows, _CSV_CHUNK):
-            k = min(rows - lo, _CSV_CHUNK)
-            for field, (cells, codes) in zip(fields, tables):
-                field[:k] = cells[lo : lo + k] if codes is None else cells[codes[lo : lo + k]]
-            np.not_equal(lines[:k], 0, out=mask[:k])
-            fh.write(lines[:k][mask[:k]])
+        graph._write_rows(fh, [cells.itemsize for cells, _ in tables], rows, gather, b",", b"\r\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -258,12 +244,10 @@ def cmd_nip(args) -> int:
     scores = nip.nip_scores(
         g, scale=args.scale, tolerance=args.tolerance, stats=stats, knn=profile
     )
-    # Degree-valued cells come from tables by degree; labels are coded without a sort.
+    # Degree-valued cells come from tables by degree.
     degree = np.arange(g.degrees.max(initial=0) + 1)
     ip = np.zeros(len(degree))
     ip[g.degrees] = scores.ip
-    codes = np.arange(len(nip.CLASSES), dtype=np.int8)
-    classes = np.select([scores.classification == c for c in nip.CLASSES], codes)
     _write_csv(
         outdir / "nip_node.csv",
         ["node_label", "degree", "knn_i", "ip", "nip", "class_nip", "classification", "scale"],
@@ -274,7 +258,7 @@ def cmd_nip(args) -> int:
             (ip, g.degrees),
             scores.nip_node,
             (nip.node_class_means(scores.nip_class, degree), g.degrees),
-            (list(nip.CLASSES), classes),
+            (list(nip.CLASSES), scores.classification),
             ([args.scale], np.broadcast_to(np.int8(0), g.node_count)),
         ],
     )

@@ -23,12 +23,13 @@ appearance, and the original labels are kept for output.
 from __future__ import annotations
 
 import importlib
+import io
 import lzma
 import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -423,7 +424,8 @@ def degree_stats(g: Graph, density_convention: str = TABLE1) -> DegreeStats:
     """Degree sequence, first two moments, variance and density of ``g``.
 
     The mean and mean-square degree are exact integer sums divided by n;
-    variance is ``mean_square_degree - mean_degree**2``.  Density is
+    variance is ``(n * sum(d**2) - sum(d)**2) / n**2`` from the exact integer
+    sums, divided once.  Density is
     ``m / (n*(n-1))`` under TABLE1 and ``m / (n*(n-1)/2)`` under HALF, and
     defined as 0 for a single-node graph.
 
@@ -457,7 +459,7 @@ def degree_stats(g: Graph, density_convention: str = TABLE1) -> DegreeStats:
         degree_square_sum=sum_d2,
         mean_degree=mean,
         mean_square_degree=mean_sq,
-        variance=mean_sq - mean * mean,
+        variance=(n * sum_d2 - sum_d * sum_d) / (n * n),
         density=density,
         density_convention=density_convention,
     )
@@ -473,12 +475,10 @@ def _edge_entries(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return row, keep
 
 
-#: Lines per batch of ``_edge_dump_chunks``.  For labels of at most ``w``
-#: characters a batch holds a line matrix and its mask of
-#: ``_DUMP_CHUNK * (2*w + 2)`` bytes each, two int64 rank buffers and two
-#: gathers of ``_DUMP_CHUNK * w`` bytes: 2.3 MB at the 20 characters of
-#: ``-2**63``, 0.9 MB for labels below a million (6 characters).
-_DUMP_CHUNK = 1 << 14
+#: Bytes of line text per batch of ``_write_rows``; a batch holds that many
+#: rows (at least one), and its line matrix, mask and masked copy take about
+#: this many bytes each.
+_BATCH_BYTES = 1 << 17
 
 #: ``10**k`` for k = 1..19, every power of ten below ``2**64``.
 _POWERS_OF_TEN = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
@@ -521,6 +521,33 @@ def _label_text(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return text, w
 
 
+def _write_rows(fh, widths: list[int], rows: int, gather, sep: bytes, end: bytes) -> None:
+    """Write ``rows`` lines of ``len(widths)`` fields to the binary file
+    ``fh``, fields joined by the one byte ``sep`` and each line ended by
+    ``end``.
+
+    ``gather(lo, hi)`` returns, for rows ``lo .. hi - 1``, one ``S`` array
+    per field whose items are at most ``widths[j]`` bytes and hold no NUL
+    byte.  Each batch of ``_BATCH_BYTES`` of line text is assembled in one
+    reused byte matrix, separators laid in once, and written without its NUL
+    padding, so no Python object is made per row.
+    """
+    starts = [sum(widths[:j]) + j for j in range(len(widths))]
+    width = starts[-1] + widths[-1] + len(end)
+    batch = max(1, _BATCH_BYTES // width)
+    # Every byte outside the fields and the line end is a separator.
+    lines = np.full((min(rows, batch), width), ord(sep), dtype=np.uint8)
+    lines[:, width - len(end) :] = np.frombuffer(end, dtype=np.uint8)
+    fields = [lines[:, a : a + w].view(f"S{w}")[:, 0] for a, w in zip(starts, widths)]
+    mask = np.empty(lines.shape, dtype=bool)
+    for lo in range(0, rows, batch):
+        k = min(rows - lo, batch)
+        for field, cells in zip(fields, gather(lo, lo + k)):
+            field[:k] = cells
+        np.not_equal(lines[:k], 0, out=mask[:k])
+        fh.write(lines[:k][mask[:k]])
+
+
 def _text_order(text: np.ndarray) -> np.ndarray:
     """The row order of a uint8 matrix of ``8 * k`` columns sorted bytewise:
     its rows read as k big-endian uint64 words compare like their bytes."""
@@ -530,24 +557,20 @@ def _text_order(text: np.ndarray) -> np.ndarray:
     return np.lexsort(words.T[::-1])
 
 
-def _edge_dump_chunks(g: Graph) -> Iterator[np.ndarray]:
-    """The edge dump as uint8 arrays of bytes, ``_DUMP_CHUNK`` lines each.
-
-    Each edge appears once as ``b"<u>\\t<v>\\n"`` of original labels, with
-    u's internal index not greater than v's, and the lines are sorted
-    bytewise.  No Python object is made per edge: each label is formatted
-    once and a batch's lines are assembled in one byte matrix.
-    """
-    # Decimal text holds no NUL byte, so dropping a line's zero bytes
-    # removes exactly the padding, and the padded texts sort like the texts
-    # themselves.
+def _write_dump(g: Graph, fh) -> None:
+    """Write the edge dump of ``g`` to the binary file ``fh``: each edge once
+    as ``b"<u>\\t<v>\\n"`` of original labels, with u's internal index not
+    greater than v's, the lines sorted bytewise.  Each label is formatted
+    once."""
+    # Decimal text holds no NUL byte, so the padded texts sort like the
+    # texts themselves.
     n = g.node_count
     text, w = _label_text(g.node_labels)
     by_text = _text_order(text)
     dtype = g.indices.dtype
     text_rank = np.empty(n, dtype=dtype)
     text_rank[by_text] = np.arange(n, dtype=dtype)
-    text = text[by_text, :w].view(f"V{w}").reshape(-1)
+    text = text[by_text, :w].view(f"S{w}")[:, 0]
     del by_text
     # The tab sorts below every character of an integer label, so the line
     # order is the order of (text(u), text(v)): sort the edges by the text
@@ -561,22 +584,11 @@ def _edge_dump_chunks(g: Graph) -> Iterator[np.ndarray]:
     del row, col
     key.sort()
 
-    size = min(len(key), _DUMP_CHUNK)
-    lines = np.empty((size, 2 * w + 2), dtype=np.uint8)
-    lines[:, w] = ord("\t")
-    lines[:, -1] = ord("\n")
-    first = lines[:, :w].view(f"V{w}")[:, 0]
-    second = lines[:, w + 1 : -1].view(f"V{w}")[:, 0]
-    u, v = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    mask = np.empty(lines.shape, dtype=bool)
-    for lo in range(0, len(key), _DUMP_CHUNK):
-        part = key[lo : lo + _DUMP_CHUNK]
-        k = len(part)
-        np.divmod(part, n, out=(u[:k], v[:k]))
-        first[:k] = text[u[:k]]
-        second[:k] = text[v[:k]]
-        np.not_equal(lines[:k], 0, out=mask[:k])
-        yield lines[:k][mask[:k]]
+    def gather(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        u, v = np.divmod(key[lo:hi], n)
+        return text[u], text[v]
+
+    _write_rows(fh, [w, w], len(key), gather, b"\t", b"\n")
 
 
 def edge_dump_lines(g: Graph) -> list[str]:
@@ -586,16 +598,16 @@ def edge_dump_lines(g: Graph) -> list[str]:
     greater than v's; the lines are sorted lexicographically, so two equal
     labelled graphs produce identical dumps.
     """
-    return b"".join(_edge_dump_chunks(g)).decode("ascii").splitlines()
+    buffer = io.BytesIO()
+    _write_dump(g, buffer)
+    return buffer.getvalue().decode("ascii").splitlines()
 
 
 def write_edge_dump(g: Graph, path: str | Path) -> None:
     """Write the lines of ``edge_dump_lines(g)`` to ``path``, each ended by
-    ``\\n``, one ``_DUMP_CHUNK`` batch per write, each straight from its
-    array."""
+    ``\\n``."""
     with open(path, "wb") as fh:
-        for chunk in _edge_dump_chunks(g):
-            fh.write(chunk)
+        _write_dump(g, fh)
 
 
 def same_labelled_graph(g1: Graph, g2: Graph) -> bool:

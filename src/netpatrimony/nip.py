@@ -43,7 +43,8 @@ DEFAULT_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class NipScores:
-    """Per-node and per-class patrimony scores of one graph."""
+    """Per-node and per-class patrimony scores of one graph.  Each node's
+    ``classification`` is an int8 code, the index of its label in ``CLASSES``."""
 
     ip: np.ndarray = field(repr=False)
     nip_network: float
@@ -129,9 +130,9 @@ def classify_performers(
 
     A node is AT_PAR when its score lies within ``tolerance`` (relative) of
     the class mean, OVER above that band, UNDER below it.  Isolated nodes
-    are labelled UNDEFINED.  Returns the labels as a string array in node
-    order.  Raises ValueError when the two arrays differ in length or
-    ``tolerance`` is negative or not finite.
+    are labelled UNDEFINED.  Returns the labels in node order as int8 codes,
+    each the index of its label in ``CLASSES``.  Raises ValueError when the
+    two arrays differ in length or ``tolerance`` is negative or not finite.
     """
     check_tolerance(tolerance)
     nip_node = np.asarray(nip_node, dtype=float)
@@ -142,16 +143,15 @@ def classify_performers(
         )
     base = node_class_means(class_means, degrees)
     with np.errstate(invalid="ignore"):
-        labels = np.select(
+        return np.select(
             [
                 degrees == 0,
                 nip_node > base * (1.0 + tolerance),
                 nip_node < base * (1.0 - tolerance),
             ],
-            [UNDEFINED, OVER, UNDER],
-            default=AT_PAR,
+            [np.int8(CLASSES.index(label)) for label in (UNDEFINED, OVER, UNDER)],
+            default=np.int8(CLASSES.index(AT_PAR)),
         )
-    return labels
 
 
 def nip_scores(

@@ -15,6 +15,7 @@ import pytest
 import oracles
 import netpatrimony
 from netpatrimony import (
+    CLASSES,
     NORMALIZED,
     RAW,
     RAW_MULTISET,
@@ -322,7 +323,7 @@ def test_analysis_csv_bytes_match_row_wise_writer(tmp_path, mode):
                     profile.knn_node.tolist(),
                     scores.ip.tolist(),
                     scores.nip_node.tolist(),
-                    scores.classification,
+                    np.asarray(CLASSES)[scores.classification].tolist(),
                 )
             ]
             expected[("nip", scale, "nip_node.csv")] = oracles.csv_bytes(
@@ -382,13 +383,14 @@ def test_report_csv_bytes_match_row_wise_writer(tmp_path, capsys, monkeypatch):
     assert b'\r\n"net,work",RAW_MULTISET,NO_REFERENCE,' in got
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, cli._CSV_CHUNK])
-def test_write_csv_quotes_text_cells_like_csv_writer(tmp_path, monkeypatch, chunk):
+@pytest.mark.parametrize("batch_rows", [1, 2, 3, pytest.param(None, id="default")])
+def test_write_csv_quotes_text_cells_like_csv_writer(tmp_path, monkeypatch, batch_rows):
     """Text cells holding quotes, commas, line breaks and non-ASCII
     characters, in lists and in str, object and broadcast arrays, next to
     floats of either sign (zero, NaN, infinity), an all-NaN column, integers
-    and coded columns, across row batches of several sizes."""
-    monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+    and coded columns, under byte budgets of 1-row batches (a budget below
+    one line), 2-row batches (the last of the 9 rows alone), 3-row batches
+    and the default."""
     texts = ['say "hi"', "a,b", "two\nlines", "cr\rhere", "", 'x,"y"\n', "plain", "café", "naïve,ü"]
     negative_nan = np.copysign(np.nan, -1.0)
     floats = np.array([0.5, np.nan, 1e-7, 123456789.0, -0.0, negative_nan, -np.inf, np.inf, 0.0])
@@ -400,14 +402,16 @@ def test_write_csv_quotes_text_cells_like_csv_writer(tmp_path, monkeypatch, chun
     coded_floats, coded_texts = np.array([-0.0, negative_nan, 2.5]), ["é", "q,r", 'z"']
     header = ["text", "float", "int", "mixed", "str_array", "object_array", "all_nan",
               "broadcast", "coded_float", "coded_text"]
+    columns = [texts, floats, ints, mixed, np.array(texts), np.array(reversed_texts, dtype=object),
+               np.full(len(texts), np.nan),
+               np.broadcast_to(np.array("ö,x", dtype=object), len(texts)),
+               (coded_floats, codes), (coded_texts, codes)]
+    width = sum(cli._cell_table(col)[0].itemsize + 1 for col in columns) + 1
+    if batch_rows is not None:
+        budget = 1 if batch_rows == 1 else (batch_rows + 1) * width - 1
+        monkeypatch.setattr(cli.graph, "_BATCH_BYTES", budget)
     path = tmp_path / "t.csv"
-    cli._write_csv(
-        path,
-        header,
-        [texts, floats, ints, mixed, np.array(texts), np.array(reversed_texts, dtype=object),
-         np.full(len(texts), np.nan), np.broadcast_to(np.array("ö,x", dtype=object), len(texts)),
-         (coded_floats, codes), (coded_texts, codes)],
-    )
+    cli._write_csv(path, header, columns)
     rows = zip(texts, floats.tolist(), ints.tolist(), mixed, texts, reversed_texts,
                [float("nan")] * len(texts), ["ö,x"] * len(texts),
                coded_floats[codes].tolist(), [coded_texts[c] for c in codes])

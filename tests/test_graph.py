@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -455,6 +457,22 @@ class TestDegreeStats:
         assert s.variance == 0.0
         assert s.mean_degree == 2.0
 
+    def test_variance_is_the_exact_ratio_rounded_once(self):
+        # Cycles and complete graphs are regular: variance exactly 0.0.
+        graphs = [build_graph([(i, (i + 1) % k) for i in range(k)]) for k in (3, 7, 10)]
+        graphs += [build_graph([(i, j) for i in range(k) for j in range(i)]) for k in (5, 12)]
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            n = int(rng.integers(2, 60))
+            edges = rng.integers(0, n, size=(int(rng.integers(1, 400)), 2))
+            graphs.append(build_graph(edges, mode=RAW_MULTISET, nodes=range(n)))
+        for g in graphs:
+            d = g.degrees.tolist()
+            n, sum_d, sum_d2 = len(d), sum(d), sum(x * x for x in d)
+            expected = float(Fraction(n * sum_d2 - sum_d * sum_d, n * n))
+            assert degree_stats(g).variance == expected
+        assert [degree_stats(g).variance for g in graphs[:5]] == [0.0] * 5
+
     def test_raw_multiset_counts_every_line(self):
         g = build_graph([(1, 2), (1, 2), (3, 3)], mode=RAW_MULTISET)
         s = degree_stats(g)
@@ -553,9 +571,10 @@ class TestEdgeDump:
             assert same_labelled_graph(g, rebuilt)
 
     def test_written_dump_is_the_lines_in_chunks(self, tmp_path, monkeypatch):
-        # Batches of up to 16384, 3 and 1 lines whose labels range from one
-        # digit to the 20-character int64 minimum, so short labels share a
-        # batch, and its padding, with the widest ones.
+        # Byte budgets of 1-line batches (a budget below one line), 3-line
+        # batches and the default, over labels from one digit to the
+        # 20-character int64 minimum, so short labels share a batch, and its
+        # padding, with the widest ones.
         chains = [[(i, i + 1) for i in range(k)] for k in (0, 1, 3, 4, 7)]
         # Labels of 9 to 16 characters: two words of text.
         chains.append([(10**8 + i, -(10**14) - i) for i in range(5)])
@@ -566,11 +585,15 @@ class TestEdgeDump:
         # Repeated lines and self-loops, which RAW_MULTISET keeps.
         extras = [[I64_MIN, I64_MIN], [1, 1]]
         graphs = [*chains, *([*e, *e[:2], *extras] for e in [mixed, *drawn])]
-        for chunk in (1 << 14, 3, 1):
-            monkeypatch.setattr(graph_module, "_DUMP_CHUNK", chunk)
+        default = graph_module._BATCH_BYTES
+        for batch_rows in (1, 3, None):
             for k, edges in enumerate(graphs):
                 for mode in (RAW_MULTISET, SIMPLE):
                     g = build_graph(edges, mode=mode, nodes=[0])
+                    # A line is two labels as wide as the longest, a tab and a LF.
+                    width = 2 * max(len(str(x)) for x in g.node_labels.tolist()) + 2
+                    budget = {1: 1, 3: 4 * width - 1, None: default}[batch_rows]
+                    monkeypatch.setattr(graph_module, "_BATCH_BYTES", budget)
                     path = tmp_path / f"dump{k}{mode}.txt"
                     write_edge_dump(g, path)
                     expected = _dump_from_adjacency(g)

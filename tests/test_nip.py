@@ -6,6 +6,7 @@ import pytest
 import oracles
 from netpatrimony import (
     AT_PAR,
+    CLASSES,
     NORMALIZED,
     OVER,
     RAW,
@@ -25,6 +26,12 @@ from netpatrimony import (
 )
 
 
+def labels(codes):
+    """The class labels of int8 classification codes."""
+    assert codes.dtype == np.int8
+    return np.asarray(CLASSES)[codes].tolist()
+
+
 def test_six_node_scores(six_node_simple):
     g = six_node_simple
     shares = ip(g)
@@ -33,7 +40,7 @@ def test_six_node_scores(six_node_simple):
     scores = nip_scores(g)
     assert scores.nip_node.tolist() == [0.75, 0.75, 0.5625, 0.875, 0.4375, 0.5]
     assert scores.nip_class == {2: 0.5, 3: 0.75, 4: 0.875}
-    assert scores.classification.tolist() == [AT_PAR, AT_PAR, OVER, AT_PAR, UNDER, AT_PAR]
+    assert labels(scores.classification) == [AT_PAR, AT_PAR, OVER, AT_PAR, UNDER, AT_PAR]
 
 
 def test_six_node_raw_scale(six_node_simple):
@@ -59,7 +66,7 @@ def test_complete_graph_law(complete5):
     assert shares.tolist() == [1 / 5] * 5
     scores = nip_scores(complete5)
     assert scores.nip_node.tolist() == [1.0] * 5
-    assert scores.classification.tolist() == [AT_PAR] * 5
+    assert labels(scores.classification) == [AT_PAR] * 5
     assert scores.nip_class == {4: 1.0}
 
 
@@ -113,7 +120,7 @@ def test_class_means_match_loop_oracle():
 
 def test_path_graph_classification(path5):
     scores = nip_scores(path5)
-    by_label = dict(zip(path5.node_labels.tolist(), scores.classification))
+    by_label = dict(zip(path5.node_labels.tolist(), labels(scores.classification)))
     assert by_label == {1: AT_PAR, 2: UNDER, 3: OVER, 4: UNDER, 5: AT_PAR}
 
 
@@ -122,7 +129,7 @@ def test_isolated_node_is_undefined_with_zero_score():
     scores = nip_scores(g)
     assert scores.nip_node[3] == 0.0
     assert scores.ip[3] == 0.0
-    assert scores.classification[3] == UNDEFINED
+    assert labels(scores.classification)[3] == UNDEFINED
     assert 0 not in scores.nip_class
 
 
@@ -160,9 +167,9 @@ class TestClassify:
     def test_tolerance_band_is_relative(self):
         scores = np.array([1.0 + 5e-10, 1.0 - 5e-10])
         degrees = np.array([2, 2])
-        assert classify_performers(scores, {2: 1.0}, degrees).tolist() == [AT_PAR, AT_PAR]
+        assert labels(classify_performers(scores, {2: 1.0}, degrees)) == [AT_PAR, AT_PAR]
         tight = classify_performers(scores, {2: 1.0}, degrees, tolerance=1e-12)
-        assert tight.tolist() == [OVER, UNDER]
+        assert labels(tight) == [OVER, UNDER]
 
     @pytest.mark.parametrize("tolerance", [-0.5, -1e-12, math.nan, math.inf])
     def test_negative_or_non_finite_tolerance_rejected(self, tolerance):
@@ -170,25 +177,25 @@ class TestClassify:
             classify_performers(np.array([1.0]), {1: 1.0}, np.array([1]), tolerance)
 
     def test_zero_tolerance_splits_at_the_mean(self):
-        labels = classify_performers(
+        codes = classify_performers(
             np.array([1.0, 1.0 + 1e-15, 1.0 - 1e-15]), {2: 1.0}, np.array([2, 2, 2]), 0.0
         )
-        assert labels.tolist() == [AT_PAR, OVER, UNDER]
+        assert labels(codes) == [AT_PAR, OVER, UNDER]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             classify_performers(np.array([1.0]), {1: 1.0}, np.array([1, 1]))
 
     def test_zero_degree_is_undefined(self):
-        labels = classify_performers(
+        codes = classify_performers(
             np.array([0.0, 0.5]), {1: 0.5}, np.array([0, 1])
         )
-        assert labels.tolist() == [UNDEFINED, AT_PAR]
+        assert labels(codes) == [UNDEFINED, AT_PAR]
 
     def test_empty_and_list_inputs(self):
         empty = classify_performers([], {}, [])
-        assert isinstance(empty, np.ndarray) and empty.tolist() == []
-        assert classify_performers([0.0, 0.5], {1: 0.5}, [0, 1]).tolist() == [
+        assert isinstance(empty, np.ndarray) and labels(empty) == []
+        assert labels(classify_performers([0.0, 0.5], {1: 0.5}, [0, 1])) == [
             UNDEFINED,
             AT_PAR,
         ]
