@@ -9,12 +9,15 @@ configuration), 2 computation error, 3 report produced no computed rows.
 
 Every run writes ``run_config.json`` echoing the effective configuration
 next to its outputs; no output embeds timestamps, so reruns with equal
-inputs are byte-identical.
+inputs are byte-identical.  Each command takes only the options it reads,
+but ``run_config.json`` and ``summary.json`` echo ``density_convention``,
+``scale`` and ``tolerance`` at their defaults where a command takes none.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -274,18 +277,14 @@ def cmd_congen(args) -> int:
     spec_path = Path(args.spec)
     spec = cg.DegreeSequenceSpec.from_json(spec_path.read_text(encoding="utf-8"))
     if args.seed is not None:
-        spec = cg.DegreeSequenceSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+        spec = dataclasses.replace(spec, seed=args.seed)
     sequence = cg.sample_degree_sequence(spec)
-    if spec.simple_policy == cg.REJECT:
-        # Fail fast with a diagnosis instead of burning shuffle attempts.
-        k = cg.first_violated_prefix(sequence)
-        if k is not None:
-            print(
-                f"error: sequence is not graphical; the top-{k} prefix of the "
-                "sorted sequence already exceeds its available endpoints",
-                file=sys.stderr,
-            )
-            return 1
+    # Under REJECT, fail fast with a diagnosis instead of burning shuffle attempts.
+    if spec.simple_policy == cg.REJECT and (k := cg.first_violated_prefix(sequence)) is not None:
+        raise ValueError(
+            f"sequence is not graphical; the top-{k} prefix of the "
+            "sorted sequence already exceeds its available endpoints"
+        )
     g, info = cg.generate(
         sequence,
         seed=spec.seed,
@@ -389,19 +388,18 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common(parser, default_mode=SIMPLE, with_mode=True):
-    if with_mode:
-        parser.add_argument("--mode", choices=MODES, default=default_mode)
+def _add_common(parser, default_mode=SIMPLE):
+    parser.add_argument("--mode", choices=MODES, default=default_mode)
     parser.add_argument(
         "--density-convention", choices=DENSITY_CONVENTIONS, default=TABLE1
     )
-    parser.add_argument("--scale", choices=nip.SCALES, default=nip.NORMALIZED)
-    parser.add_argument("--tolerance", type=_tolerance, default=nip.DEFAULT_TOLERANCE)
-    parser.add_argument("--worker-count", type=_worker_count, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="netpatrimony", description=__doc__)
+    parser.set_defaults(  # echoed by commands without these options
+        density_convention=TABLE1, scale=nip.NORMALIZED, tolerance=nip.DEFAULT_TOLERANCE
+    )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     for name, func, text in (
@@ -413,13 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
         p_analysis.add_argument("input")
         p_analysis.add_argument("--output-dir", required=True)
         _add_common(p_analysis)
+        if name == "nip":
+            p_analysis.add_argument("--scale", choices=nip.SCALES, default=nip.NORMALIZED)
+            p_analysis.add_argument("--tolerance", type=_tolerance, default=nip.DEFAULT_TOLERANCE)
         p_analysis.set_defaults(func=func)
 
     p_congen = sub.add_parser("congen", help="sample a configuration-model graph")
     p_congen.add_argument("spec", help="degree-sequence spec JSON")
     p_congen.add_argument("--output-dir", required=True)
     p_congen.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    _add_common(p_congen, with_mode=False)  # mode follows the simple policy
     p_congen.set_defaults(func=cmd_congen)
 
     p_report = sub.add_parser(
@@ -434,6 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_report, default_mode=RAW_MULTISET)
     p_report.set_defaults(func=cmd_report)
+    for p_command in sub.choices.values():
+        p_command.add_argument("--worker-count", type=_worker_count, default=1)
     return parser
 
 

@@ -20,6 +20,7 @@ generator across members.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,6 +53,40 @@ class RejectionExhaustedError(RuntimeError):
         self.attempts = attempts
 
 
+#: Each source's parameters in ``to_dict`` order as (type, bound): an
+#: ``int`` is a 64-bit integer >= bound, a ``float`` a finite number > bound,
+#: a ``list`` a non-empty list of such ints.
+_PARAMS = {
+    EXPLICIT: {"degrees": (list, 0)},
+    POISSON: {"mean": (float, 0), "n": (int, 1)},
+    POWERLAW: {"exponent": (float, 1), "min_degree": (int, 1), "n": (int, 1)},
+}
+
+
+def _typed(name: str, value, kind: type, bound):
+    """``value`` of spec field ``name`` if ``kind`` and ``bound`` allow it
+    (see ``_PARAMS``; never a bool), a list (or tuple, or 1-d array) as a
+    tuple; otherwise ValueError naming the field."""
+    if kind is list:
+        value = value.tolist() if isinstance(value, np.ndarray) else value
+        if isinstance(value, (list, tuple)) and value:
+            return tuple(_typed(f"{name}[{i}]", v, int, bound) for i, v in enumerate(value))
+        expected = "a non-empty list of integers"
+    elif kind is int:
+        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            if bound <= int(value) < 2**63:
+                return int(value)
+        expected = f"a 64-bit integer >= {bound}"
+    else:
+        if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+            # Refuses inf, NaN and (where math.isfinite raises) ints beyond a float.
+            if bound < value <= sys.float_info.max:
+                return float(value)
+        expected = f"a finite number > {bound}"
+    got = json.dumps(value, default=repr)
+    raise ValueError(f"spec field {name!r} must be {expected}, got {got}")
+
+
 @dataclass(frozen=True)
 class DegreeSequenceSpec:
     """Declarative description of where a degree sequence comes from.
@@ -59,7 +94,9 @@ class DegreeSequenceSpec:
     Exactly one source is active: EXPLICIT uses ``degrees`` verbatim,
     POISSON draws ``n`` samples with the given ``mean``, POWERLAW draws
     ``n`` samples with tail exponent ``exponent`` on the support
-    ``min_degree .. n-1``.
+    ``min_degree .. n-1``.  ``seed``, ``max_attempts`` and the source's
+    parameters are read by ``_typed`` as ``_PARAMS`` says; the other
+    sources' parameters are ignored.
     """
 
     source: str
@@ -77,62 +114,34 @@ class DegreeSequenceSpec:
             raise ValueError(f"unknown degree-sequence source: {self.source!r}")
         if self.simple_policy not in SIMPLE_POLICIES:
             raise ValueError(f"unknown simple policy: {self.simple_policy!r}")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.source == EXPLICIT:
-            if not self.degrees:
-                raise ValueError("EXPLICIT source requires a non-empty degree list")
-            if any(d < 0 for d in self.degrees):
-                raise ValueError("degrees must be non-negative")
-        else:
-            if self.n is None or self.n < 1:
-                raise ValueError(f"{self.source} source requires n >= 1")
-        if self.source == POISSON:
-            if self.mean is None or not self.mean > 0:
-                raise ValueError("POISSON source requires mean > 0")
-        if self.source == POWERLAW:
-            if self.exponent is None or not self.exponent > 1:
-                raise ValueError("POWERLAW source requires exponent > 1")
-            if self.min_degree is None or self.min_degree < 1:
-                raise ValueError("POWERLAW source requires min_degree >= 1")
-            if self.min_degree > self.n - 1:
-                raise ValueError(
-                    f"min_degree {self.min_degree} exceeds the largest possible "
-                    f"degree {self.n - 1}"
-                )
+        fields = {"seed": (int, 0), "max_attempts": (int, 1), **_PARAMS[self.source]}
+        for name, (kind, bound) in fields.items():
+            object.__setattr__(self, name, _typed(name, getattr(self, name), kind, bound))
+        if self.source == EXPLICIT and (total := sum(self.degrees)) >= 2**63:
+            raise ValueError(f"spec field 'degrees' must sum to less than 2^63, got {total}")
+        if self.source == POWERLAW and self.min_degree > self.n - 1:
+            raise ValueError(
+                f"min_degree {self.min_degree} exceeds the largest possible "
+                f"degree {self.n - 1}"
+            )
 
     @classmethod
     def explicit(cls, degrees: Sequence[int], **kw) -> "DegreeSequenceSpec":
-        return cls(source=EXPLICIT, degrees=tuple(int(d) for d in degrees), **kw)
+        return cls(source=EXPLICIT, degrees=degrees, **kw)
 
     @classmethod
     def poisson(cls, mean: float, n: int, **kw) -> "DegreeSequenceSpec":
-        return cls(source=POISSON, mean=float(mean), n=int(n), **kw)
+        return cls(source=POISSON, mean=mean, n=n, **kw)
 
     @classmethod
-    def power_law(
-        cls, exponent: float, min_degree: int, n: int, **kw
-    ) -> "DegreeSequenceSpec":
-        return cls(
-            source=POWERLAW,
-            exponent=float(exponent),
-            min_degree=int(min_degree),
-            n=int(n),
-            **kw,
-        )
+    def power_law(cls, exponent: float, min_degree: int, n: int, **kw) -> "DegreeSequenceSpec":
+        return cls(source=POWERLAW, exponent=exponent, min_degree=min_degree, n=n, **kw)
 
     def to_dict(self) -> dict:
-        params: dict = {}
-        if self.source == EXPLICIT:
-            params["degrees"] = list(self.degrees)
-        elif self.source == POISSON:
-            params = {"mean": self.mean, "n": self.n}
-        else:
-            params = {
-                "exponent": self.exponent,
-                "min_degree": self.min_degree,
-                "n": self.n,
-            }
+        params = {
+            name: list(getattr(self, name)) if kind is list else getattr(self, name)
+            for name, (kind, _) in _PARAMS[self.source].items()
+        }
         return {
             "source": self.source,
             "params": params,
@@ -143,28 +152,14 @@ class DegreeSequenceSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DegreeSequenceSpec":
-        try:
-            source = data["source"]
-            params = dict(data.get("params", {}))
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed degree-sequence spec: {exc}") from None
-        kw = dict(
-            seed=int(data.get("seed", 0)),
-            simple_policy=data.get("simple_policy", MULTIGRAPH),
-            max_attempts=int(data.get("max_attempts", 100)),
-        )
-        if source == EXPLICIT:
-            return cls.explicit(params.get("degrees", ()), **kw)
-        if source == POISSON:
-            return cls.poisson(params.get("mean", 0.0), params.get("n", 0), **kw)
-        if source == POWERLAW:
-            return cls.power_law(
-                params.get("exponent", 0.0),
-                params.get("min_degree", 0),
-                params.get("n", 0),
-                **kw,
-            )
-        raise ValueError(f"unknown degree-sequence source: {source!r}")
+        """The spec of a JSON object: ``source``, its ``params`` object, and
+        optionally ``seed``, ``simple_policy`` and ``max_attempts``."""
+        params = data.get("params", {}) if isinstance(data, dict) else None
+        if not isinstance(params, dict) or "source" not in data:
+            raise ValueError("spec must be an object with a 'source' and a 'params' object")
+        names = _PARAMS[data["source"]] if data["source"] in SOURCES else ()
+        settings = {k: data[k] for k in ("seed", "simple_policy", "max_attempts") if k in data}
+        return cls(source=data["source"], **settings, **{k: params.get(k) for k in names})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

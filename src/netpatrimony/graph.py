@@ -25,6 +25,7 @@ from __future__ import annotations
 import importlib
 import io
 import lzma
+import re
 import warnings
 import zlib
 from dataclasses import dataclass, field
@@ -331,13 +332,18 @@ def _csr_graph(indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray, mode
     return Graph(len(labels), len(indices) // 2, indptr, indices, degrees, labels, mode)
 
 
+#: An integer id as ``np.loadtxt`` reads one: ``int`` also takes ``1_000``
+#: and non-ASCII digits, which would make a label depend on the reader.
+_ID = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_edge_lines(lines: Iterable[str], path: str = "<memory>") -> np.ndarray:
     """Parse SNAP-style edge-list lines to an (k, 2) int64 array.
 
     Lines starting with ``#`` and blank lines are ignored; every other line
-    must hold two whitespace-separated integer ids.  Malformed lines raise
-    SnapParseError with the 1-based line number.  This is the strict, slow
-    path: ``load_edge_file`` uses it only when the numpy reader fails.
+    must hold two whitespace-separated integer ids (see ``_ID``).  Malformed
+    lines raise SnapParseError with the 1-based line number.  This is the
+    strict, slow path: ``load_edge_file`` uses it only when numpy's fails.
     """
     out: list[tuple[int, int]] = []
     for line_no, raw in enumerate(lines, start=1):
@@ -351,12 +357,9 @@ def parse_edge_lines(lines: Iterable[str], path: str = "<memory>") -> np.ndarray
                 path,
                 line_no,
             )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise SnapParseError(
-                f"non-integer node id in {parts!r}", path, line_no
-            ) from None
+        if not (_ID.fullmatch(parts[0]) and _ID.fullmatch(parts[1])):
+            raise SnapParseError(f"non-integer node id in {parts!r}", path, line_no)
+        u, v = int(parts[0]), int(parts[1])
         if not (-(2**63) <= u < 2**63 and -(2**63) <= v < 2**63):
             raise SnapParseError("node id out of 64-bit range", path, line_no)
         out.append((u, v))

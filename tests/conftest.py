@@ -20,6 +20,38 @@ DATA_ENV = "NETPATRIMONY_DATA_DIR"
 SIX_NODE_FILE = Path(__file__).parent / "data" / "six_node.txt"
 
 
+#: A valid ``congen`` spec per source, and each spec field with values of the
+#: wrong type for it: null, a bool, a string, a fraction where an integer is
+#: due, a list where a number is due or a non-list where a list is, and
+#: numbers out of range (beyond int64, not finite, degrees summing past int64).
+VALID_SPECS = {
+    "EXPLICIT": {"source": "EXPLICIT", "params": {"degrees": [2, 2, 2]}},
+    "POISSON": {"source": "POISSON", "params": {"mean": 2.0, "n": 10}},
+    "POWERLAW": {"source": "POWERLAW", "params": {"exponent": 2.5, "min_degree": 1, "n": 10}},
+}
+_BAD_INTEGERS = [None, True, "2", 2.5, 2.0, [2], 2**63]
+_BAD_REALS = [None, False, "2.5", [2.5], float("inf"), float("nan")]
+BAD_SPEC_FIELDS = [
+    *(("EXPLICIT", field, v) for field in ("seed", "max_attempts") for v in _BAD_INTEGERS),
+    *(
+        ("EXPLICIT", "degrees", v)
+        for v in [None, True, "2", 2, {"0": 2}, [2, 1.5], [True], [None], [2**62] * 4]
+    ),
+    *(("POISSON", "mean", v) for v in _BAD_REALS),
+    pytest.param("POISSON", "mean", 10**400, id="POISSON-mean-10**400"),  # too large for a float
+    *(("POISSON", "n", v) for v in _BAD_INTEGERS),
+    *(("POWERLAW", "exponent", v) for v in _BAD_REALS),
+    *(("POWERLAW", field, v) for field in ("min_degree", "n") for v in _BAD_INTEGERS),
+]
+
+
+def bad_spec(source: str, field: str, value) -> dict:
+    """The valid spec of ``source`` with ``field`` set to ``value``."""
+    spec = {**VALID_SPECS[source], "params": dict(VALID_SPECS[source]["params"])}
+    (spec if field in ("seed", "max_attempts") else spec["params"])[field] = value
+    return spec
+
+
 def data_dir() -> Path:
     return Path(os.environ.get(DATA_ENV, Path(__file__).resolve().parents[1] / "data"))
 

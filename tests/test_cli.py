@@ -28,7 +28,7 @@ from netpatrimony import (
 )
 from netpatrimony import cli
 from netpatrimony.cli import main
-from conftest import SIX_NODE_FILE, require_amazon
+from conftest import BAD_SPEC_FIELDS, SIX_NODE_FILE, VALID_SPECS, bad_spec, require_amazon
 
 
 def read_csv(path):
@@ -206,12 +206,40 @@ def test_stats_on_edgeless_graph_writes_moments(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["-0.5", "nan", "-inf"])
 @pytest.mark.parametrize("command", ["stats", "knn", "nip", "congen", "report"])
 def test_bad_tolerance_is_usage_error(tmp_path, capsys, command, value):
+    """A bad ``--tolerance`` exits 1 before any output is written: ``nip``
+    rejects the value, and every other command rejects the option itself."""
     out = tmp_path / "o"
     source = str(tmp_path / "spec.json") if command == "congen" else str(SIX_NODE_FILE)
     argv = [command, source, "--output-dir", str(out), f"--tolerance={value}"]
     assert main(argv) == 1
-    assert "argument --tolerance: tolerance must be finite and >= 0" in capsys.readouterr().err
+    expected = {"nip": "argument --tolerance: tolerance must be finite and >= 0"}.get(
+        command, f"error: unrecognized arguments: --tolerance={value}\n"
+    )
+    assert expected in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--scale") for c in ("stats", "knn", "report", "congen")]
+    + [("congen", "--density-convention")],
+    ids=lambda x: x.lstrip("-"),
+)
+def test_option_the_command_does_not_read_is_usage_error(tmp_path, capsys, command, flag):
+    """Each command takes only the options it reads: another command's
+    option, even at a valid value, exits 1 naming it and writes nothing.
+    ``--tolerance`` on these commands is covered above."""
+    source = SIX_NODE_FILE
+    if command == "congen":
+        source = tmp_path / "spec.json"
+        source.write_text(json.dumps(VALID_SPECS["EXPLICIT"]))
+    out = tmp_path / "o"
+    value = {"--scale": "RAW", "--density-convention": "HALF"}[flag]
+    argv = [command, str(source), "--output-dir", str(out)]
+    assert main([*argv, flag, value]) == 1
+    assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 0  # the same run without the option
 
 
 @pytest.mark.parametrize("value", ["-1e-12", "-inf"])
@@ -563,6 +591,21 @@ class TestCongenCommand:
         )
         assert main(["congen", str(spec), "--output-dir", str(tmp_path / "o")]) == 1
         assert "even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source, field, value", BAD_SPEC_FIELDS)
+    def test_mistyped_spec_field_is_input_error(self, tmp_path, capsys, source, field, value):
+        spec = self.write_spec(tmp_path, bad_spec(source, field, value))
+        out = tmp_path / "o"
+        assert main(["congen", str(spec), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: spec field '{field}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_seed_override_is_validated(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, VALID_SPECS["EXPLICIT"])
+        assert main(["congen", str(spec), "--output-dir", str(tmp_path / "o"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: spec field 'seed'")
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_spec_json(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import BAD_SPEC_FIELDS, bad_spec
 from netpatrimony import (
     ERASE,
     EXPLICIT,
@@ -96,6 +97,23 @@ class TestSpec:
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError):
             DegreeSequenceSpec.from_dict({"params": {}})
+
+    @pytest.mark.parametrize("source, field, value", BAD_SPEC_FIELDS)
+    def test_mistyped_field_names_the_field(self, source, field, value):
+        with pytest.raises(ValueError, match=f"^spec field '{field}"):
+            DegreeSequenceSpec.from_dict(bad_spec(source, field, value))
+
+    def test_spec_echo_holds_plain_ints_and_floats(self):
+        """meta.json echoes a spec as it was read: an integer given for a real
+        field becomes a float, and a numpy integer a Python int."""
+        spec = DegreeSequenceSpec.power_law(np.int64(3), np.int64(2), 10, seed=np.uint8(7))
+        assert json.dumps(spec.to_dict()) == json.dumps({
+            "source": POWERLAW,
+            "params": {"exponent": 3.0, "min_degree": 2, "n": 10},
+            "seed": 7,
+            "simple_policy": MULTIGRAPH,
+            "max_attempts": 100,
+        })
 
 
 class TestSampling:

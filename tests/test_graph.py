@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -387,6 +388,16 @@ class TestParsing:
         with pytest.raises(SnapParseError) as exc:
             load_edge_file(path)
         assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("token", ["1_000", "\u0661", "\uff11", "0x10", "--1", "+-1", "1+"])
+    def test_id_is_a_sign_and_ascii_digits(self, tmp_path, token):
+        """``int`` takes ``1_000`` and non-ASCII digits, ``np.loadtxt`` does
+        not; the strict parser rejects them too, so no label depends on which
+        reader parsed the file.  Signs and leading zeros are ids to both."""
+        path = tmp_path / "e.txt"
+        path.write_text(f"+5 -3\n007 8\n1 {token}\n", encoding="utf-8")
+        with pytest.raises(SnapParseError, match=f"^{re.escape(str(path))}:3: "):
+            load_edge_file(path)
 
     def test_oversized_id_rejected(self):
         with pytest.raises(SnapParseError) as exc:
