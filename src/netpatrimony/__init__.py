@@ -25,7 +25,6 @@ from .congen import (
     REJECT,
     DegreeSequenceSpec,
     RejectionExhaustedError,
-    configuration_model,
     first_violated_prefix,
     generate,
     is_graphical,
@@ -44,7 +43,6 @@ from .graph import (
     edge_dump_lines,
     load_graph,
     parse_edge_lines,
-    same_labelled_graph,
     simple_graph,
     write_edge_dump,
 )
@@ -104,7 +102,6 @@ __all__ = [
     "assortativity",
     "build_graph",
     "classify_performers",
-    "configuration_model",
     "degree_stats",
     "edge_dump_lines",
     "first_violated_prefix",
@@ -123,7 +120,6 @@ __all__ = [
     "nip_scores",
     "parse_edge_lines",
     "sample_degree_sequence",
-    "same_labelled_graph",
     "simple_graph",
     "write_edge_dump",
     "__version__",

@@ -62,6 +62,19 @@ _PARAMS = {
     POWERLAW: {"exponent": (float, 1), "min_degree": (int, 1), "n": (int, 1)},
 }
 
+#: The keys of a spec object, whose ``params`` holds its source's ``_PARAMS``.
+_SPEC_KEYS = ("source", "params", "seed", "simple_policy", "max_attempts")
+
+
+def _degree_total(degrees: np.ndarray, name: str = "degrees") -> int:
+    """Exact sum of the non-negative int64 ``degrees``; ValueError naming
+    ``name`` unless it is below 2^63, so that the stubs fit an int64 array."""
+    wraps = degrees.size and int(degrees.max()) * degrees.size >= 2**63
+    total = sum(degrees.tolist()) if wraps else int(degrees.sum())
+    if total >= 2**63:
+        raise ValueError(f"{name} must sum to less than 2^63, got {total}")
+    return total
+
 
 def _typed(name: str, value, kind: type, bound):
     """``value`` of spec field ``name`` if ``kind`` and ``bound`` allow it
@@ -96,7 +109,7 @@ class DegreeSequenceSpec:
     ``n`` samples with tail exponent ``exponent`` on the support
     ``min_degree .. n-1``.  ``seed``, ``max_attempts`` and the source's
     parameters are read by ``_typed`` as ``_PARAMS`` says; the other
-    sources' parameters are ignored.
+    sources' parameters are ignored (``from_dict`` refuses them).
     """
 
     source: str
@@ -117,8 +130,8 @@ class DegreeSequenceSpec:
         fields = {"seed": (int, 0), "max_attempts": (int, 1), **_PARAMS[self.source]}
         for name, (kind, bound) in fields.items():
             object.__setattr__(self, name, _typed(name, getattr(self, name), kind, bound))
-        if self.source == EXPLICIT and (total := sum(self.degrees)) >= 2**63:
-            raise ValueError(f"spec field 'degrees' must sum to less than 2^63, got {total}")
+        if self.source == EXPLICIT:
+            _degree_total(np.array(self.degrees, dtype=np.int64), "spec field 'degrees'")
         if self.source == POWERLAW and self.min_degree > self.n - 1:
             raise ValueError(
                 f"min_degree {self.min_degree} exceeds the largest possible "
@@ -153,11 +166,18 @@ class DegreeSequenceSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "DegreeSequenceSpec":
         """The spec of a JSON object: ``source``, its ``params`` object, and
-        optionally ``seed``, ``simple_policy`` and ``max_attempts``."""
+        optionally ``seed``, ``simple_policy`` and ``max_attempts``.  Any
+        other key, or a parameter the source does not take, is a ValueError
+        naming it."""
         params = data.get("params", {}) if isinstance(data, dict) else None
         if not isinstance(params, dict) or "source" not in data:
             raise ValueError("spec must be an object with a 'source' and a 'params' object")
-        names = _PARAMS[data["source"]] if data["source"] in SOURCES else ()
+        # An unknown source is reported by __post_init__, whatever its params.
+        names = _PARAMS[data["source"]] if data["source"] in SOURCES else params
+        unknown = [k for k in data if k not in _SPEC_KEYS]
+        unknown += [f"params.{k}" for k in params if k not in names]
+        if unknown:
+            raise ValueError(f"unknown spec key {unknown[0]!r}")
         settings = {k: data[k] for k in ("seed", "simple_policy", "max_attempts") if k in data}
         return cls(source=data["source"], **settings, **{k: params.get(k) for k in names})
 
@@ -278,8 +298,9 @@ def generate(
     graph always contains all ``len(degrees)`` nodes (labelled 0..n-1), so
     zero-degree entries become isolated nodes.
 
-    Raises ValueError for negative degrees or an odd degree sum, and
-    RejectionExhaustedError when REJECT runs out of attempts.
+    Raises ValueError for negative degrees or an odd degree sum (or one of
+    2^63 or more), and RejectionExhaustedError when REJECT runs out of
+    attempts.
     """
     if simple_policy not in SIMPLE_POLICIES:
         raise ValueError(f"unknown simple policy: {simple_policy!r}")
@@ -288,7 +309,7 @@ def generate(
         raise ValueError("degree sequence is empty")
     if (deg < 0).any():
         raise ValueError("degrees must be non-negative")
-    total = int(deg.sum())
+    total = _degree_total(deg)
     if total % 2:
         raise ValueError(
             f"degree sum must be even to pair stubs, got {total}"
@@ -316,14 +337,3 @@ def generate(
         info["erased_edges"] = g.edge_count - simple.edge_count
         g = simple
     return g, info
-
-
-def configuration_model(
-    degrees: Sequence[int] | np.ndarray,
-    seed: int = 0,
-    simple_policy: str = MULTIGRAPH,
-    max_attempts: int = 100,
-) -> Graph:
-    """``generate`` without the metadata; see that function for semantics."""
-    g, _ = generate(degrees, seed=seed, simple_policy=simple_policy, max_attempts=max_attempts)
-    return g

@@ -95,18 +95,6 @@ class Graph:
     node_labels: np.ndarray = field(repr=False)
     mode: str
 
-    def degree(self, i: int) -> int:
-        """Degree of internal node ``i``; IndexError if out of range."""
-        return len(self.neighbors(i))
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Neighbour indices of node ``i`` (with multiplicity in RAW_MULTISET)."""
-        if not 0 <= i < self.node_count:
-            raise IndexError(
-                f"node index {i} out of range for graph with {self.node_count} nodes"
-            )
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
     def __repr__(self) -> str:  # keep array dumps out of test failures
         return (
             f"Graph(n={self.node_count}, m={self.edge_count}, mode={self.mode})"
@@ -611,26 +599,3 @@ def write_edge_dump(g: Graph, path: str | Path) -> None:
     ``\\n``."""
     with open(path, "wb") as fh:
         _write_dump(g, fh)
-
-
-def same_labelled_graph(g1: Graph, g2: Graph) -> bool:
-    """True when two graphs have identical label sets and edge multisets.
-
-    Compares node count, edge count, the set of node labels and the
-    multiset of labelled edges (each edge canonicalized by sorting its
-    endpoint labels).  Internal index order is deliberately ignored.
-    """
-    if (g1.node_count, g1.edge_count) != (g2.node_count, g2.edge_count):
-        return False
-    if not np.array_equal(np.sort(g1.node_labels), np.sort(g2.node_labels)):
-        return False
-    return np.array_equal(_labelled_edges(g1), _labelled_edges(g2))
-
-
-def _labelled_edges(g: Graph) -> np.ndarray:
-    """Edges as sorted ``(min label, max label)`` rows of an (m, 2) array."""
-    row, keep = _edge_entries(g)
-    u, v = g.node_labels[row[keep]], g.node_labels[g.indices[keep]]
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((hi, lo))
-    return np.column_stack([lo[order], hi[order]])

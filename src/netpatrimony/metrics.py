@@ -14,6 +14,10 @@ adds its (d, d) pair twice, in every sum above.  networkx adds a loop's pair
 once, and its ``average_neighbor_degree`` ignores edge multiplicity, so its
 values differ on such graphs.
 
+k_nn,i = S_i / d_i and k_nn(d) = T_d / (d * N_d) are each one division of
+exact integers (S_i: node i's neighbour-degree sum; N_d, T_d: the node count
+and S_i total of class d), so no value depends on the edge list's line order.
+
 Undefined values (isolated nodes, zero-variance assortativity) are reported
 as NaN rather than raising.
 """
@@ -36,6 +40,7 @@ class KnnProfile:
     knn_node: np.ndarray = field(repr=False)
     knn_class: dict[int, float] = field(repr=False)
     assortativity: float
+    sums: np.ndarray = field(repr=False)  # neighbour_degree_sums of the graph
 
 
 def knn_global(stats: DegreeStats) -> float:
@@ -69,21 +74,24 @@ def knn_node(g: Graph, sums: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _class_means(degrees: np.ndarray, values: np.ndarray) -> dict[int, float]:
-    """Mean of ``values`` over each occupied degree class d >= 1.
-
-    Returns a dict keyed by degree in ascending order.  Averaging runs in
-    node-index order, so it reproduces a plain loop over nodes exactly.
-    """
+def class_totals(degrees: np.ndarray, values: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(d, N_d, T_d)`` for each occupied degree class d >= 1 in ascending
+    order: its node count and the exact total of the integer ``values`` over
+    it, as Python ints (whose quotients are correctly rounded)."""
+    if values.dtype.kind not in "iu":
+        raise TypeError(f"class totals need integer values, got {values.dtype}")
     counts = np.bincount(degrees)
-    totals = np.bincount(degrees, weights=values)
-    return {int(d): float(totals[d] / counts[d]) for d in np.flatnonzero(counts) if d >= 1}
+    totals = np.zeros(len(counts), dtype=np.int64)
+    np.add.at(totals, degrees, values)
+    return [(int(d), int(counts[d]), int(totals[d])) for d in np.flatnonzero(counts) if d >= 1]
 
 
-def knn_class(g: Graph, knn_node_values: np.ndarray) -> dict[int, float]:
-    """Mean of k_nn,i over each occupied degree class d >= 1, keyed by
-    ascending degree (see ``_class_means``)."""
-    return _class_means(g.degrees, knn_node_values)
+def knn_class(g: Graph, sums: np.ndarray | None = None) -> dict[int, float]:
+    """k_nn(d) = T_d / (d * N_d) of each occupied degree class d >= 1 by
+    ascending degree; ``sums`` takes ``neighbour_degree_sums(g)`` if known."""
+    if sums is None:
+        sums = neighbour_degree_sums(g)
+    return {d: total / (d * count) for d, count, total in class_totals(g.degrees, sums)}
 
 
 def degree_histogram(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,10 +150,10 @@ def knn_profile(g: Graph, stats: DegreeStats | None = None) -> KnnProfile:
     if stats is None:
         stats = degree_stats(g)
     sums = neighbour_degree_sums(g)
-    per_node = knn_node(g, sums=sums)
     return KnnProfile(
         knn_global=knn_global(stats),
-        knn_node=per_node,
-        knn_class=knn_class(g, per_node),
+        knn_node=knn_node(g, sums=sums),
+        knn_class=knn_class(g, sums=sums),
         assortativity=assortativity(g, sums=sums),
+        sums=sums,
     )

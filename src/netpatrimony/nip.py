@@ -6,15 +6,16 @@ A node's own share of the network's edge endpoints is
 
 and extending the share one step outward gives the neighbourhood score
 
-    nip_i = (d_i / 2m) * (1 + k_nn,i)
+    nip_i = (d_i / 2m) * (1 + k_nn,i) = (d_i + S_i) / 2m
 
-which weights each node by its degree plus the degrees of its neighbours.
-The network-level counterpart is nip_network = 1 + <d^2>/<d>; when degrees
-are uncorrelated the per-node score factorizes as ip_i * nip_network.
+which weights each node by its degree plus the sum S_i of its neighbours'
+degrees.  The network-level counterpart is nip_network = 1 + <d^2>/<d>; when
+degrees are uncorrelated the per-node score factorizes as ip_i * nip_network.
 
-Scores come in two scales: NORMALIZED keeps the 1/2m factor, RAW multiplies
-it back out (raw = normalized * 2m identically, so raw_i = d_i * (1 + k_nn,i)).
-Per-degree-class means give a baseline to classify nodes as over- or
+Scores come in two scales: NORMALIZED keeps the 1/2m factor, RAW is the
+integer d_i + S_i = d_i * (1 + k_nn,i).  A score, per node or as a degree
+class mean, is one division of exact integers, whatever the line order.
+Class means are the baseline that classifies nodes as over- or
 under-performers relative to peers of the same degree.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import DegreeStats, Graph, degree_stats
-from .metrics import KnnProfile, _class_means, knn_global, knn_node
+from .metrics import KnnProfile, class_totals, knn_global, neighbour_degree_sums
 
 NORMALIZED = "NORMALIZED"
 RAW = "RAW"
@@ -73,34 +74,34 @@ def nip_node_uncorrelated(g: Graph, stats: DegreeStats | None = None) -> np.ndar
     return ip(g) * nip_network(stats)
 
 
-def nip_node_correlated(
-    g: Graph, knn: KnnProfile | None = None, scale: str = NORMALIZED
-) -> np.ndarray:
-    """Per-node score (d_i / 2m) * (1 + k_nn,i) using measured k_nn,i.
-
-    Isolated nodes score exactly 0.0 (their k_nn,i is undefined but they
-    hold no endpoints).  Under RAW the normalized scores are multiplied by
-    2m, nothing else changes.
-    """
+def _raw_scores(g: Graph, sums: np.ndarray | None, scale: str) -> tuple[np.ndarray, int]:
+    """d_i + S_i of every node, and q: 2m on the NORMALIZED scale, 1 on RAW.
+    ValueError for an unknown scale or a graph without edges."""
     if scale not in SCALES:
         raise ValueError(f"unknown scale: {scale!r} (expected NORMALIZED or RAW)")
-    knn_values = knn_node(g) if knn is None else knn.knn_node
-    normalized = ip(g) * (1.0 + knn_values)
-    normalized[g.degrees == 0] = 0.0
-    if scale == RAW:
-        return normalized * (2 * g.edge_count)
-    return normalized
+    if g.edge_count == 0:
+        raise ValueError("nip is undefined for a graph with no edges")
+    if sums is None:
+        sums = neighbour_degree_sums(g)
+    return g.degrees + sums, 2 * g.edge_count if scale == NORMALIZED else 1
+
+
+def nip_node_correlated(
+    g: Graph, sums: np.ndarray | None = None, scale: str = NORMALIZED
+) -> np.ndarray:
+    """Per-node score (d_i + S_i) / q from the neighbour-degree sums S_i
+    (``sums``, computed when not given); isolated nodes score 0."""
+    raw, q = _raw_scores(g, sums, scale)
+    return raw / q
 
 
 def nip_class(
-    g: Graph, knn: KnnProfile | None = None, scale: str = NORMALIZED
+    g: Graph, sums: np.ndarray | None = None, scale: str = NORMALIZED
 ) -> dict[int, float]:
-    """Mean per-node score over each occupied degree class d >= 1.
-
-    Keys ascend; averaging runs in node-index order so the values match a
-    plain loop over nodes.
-    """
-    return _class_means(g.degrees, nip_node_correlated(g, knn=knn, scale=scale))
+    """Mean per-node score of each occupied degree class d >= 1, by ascending
+    degree: the class total of d_i + S_i over q * N_d."""
+    raw, q = _raw_scores(g, sums, scale)
+    return {d: total / (q * count) for d, count, total in class_totals(g.degrees, raw)}
 
 
 def node_class_means(class_means: dict[int, float], degrees: np.ndarray) -> np.ndarray:
@@ -165,15 +166,14 @@ def nip_scores(
     scores on the requested scale, and the per-node classification."""
     if stats is None:
         stats = degree_stats(g)
-    per_node = nip_node_correlated(g, knn=knn, scale=scale)
-    per_class = _class_means(g.degrees, per_node)
+    sums = neighbour_degree_sums(g) if knn is None else knn.sums
+    per_node = nip_node_correlated(g, sums=sums, scale=scale)
+    per_class = nip_class(g, sums=sums, scale=scale)
     return NipScores(
         ip=ip(g),
         nip_network=nip_network(stats),
         nip_node=per_node,
         nip_class=per_class,
-        classification=classify_performers(
-            per_node, per_class, g.degrees, tolerance=tolerance
-        ),
+        classification=classify_performers(per_node, per_class, g.degrees, tolerance=tolerance),
         scale=scale,
     )

@@ -44,6 +44,17 @@ BAD_SPEC_FIELDS = [
     *(("POWERLAW", field, v) for field in ("min_degree", "n") for v in _BAD_INTEGERS),
 ]
 
+#: Specs holding a key the reader does not know, at the top level or in
+#: ``params`` (a misspelling, or another source's parameter), and that key.
+UNKNOWN_SPEC_KEYS = [
+    pytest.param({**VALID_SPECS[src], **extra}, key, id=key)
+    for src, extra, key in [
+        ("EXPLICIT", {"simple_polcy": "REJECT"}, "simple_polcy"),
+        ("EXPLICIT", {"params": {"degrees": [2, 2, 2], "degreez": [2]}}, "params.degreez"),
+        ("POISSON", {"params": {"mean": 2.0, "n": 10, "degrees": [2]}}, "params.degrees"),
+    ]
+]
+
 
 def bad_spec(source: str, field: str, value) -> dict:
     """The valid spec of ``source`` with ``field`` set to ``value``."""

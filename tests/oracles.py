@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -46,31 +47,39 @@ def edge_count_of(a):
     return int(a.sum()) // 2
 
 
-def knn_per_node(a):
+def neighbour_sums(a):
+    """S_i: the degrees of node i's neighbours, summed with multiplicity."""
     deg = degrees_of(a)
     out = []
     for i in range(len(deg)):
-        if deg[i] == 0:
-            out.append(float("nan"))
-            continue
         total = 0
         for j in range(len(deg)):
             total += int(a[i, j]) * deg[j]
-        out.append(total / deg[i])
+        out.append(total)
     return out
 
 
+def knn_exact(a):
+    """k_nn,i = S_i / d_i of every node as a Fraction; None when isolated."""
+    return [Fraction(s, d) if d else None for s, d in zip(neighbour_sums(a), degrees_of(a))]
+
+
+def knn_per_node(a):
+    return [float("nan") if k is None else float(k) for k in knn_exact(a)]
+
+
 def class_means(values, degrees):
-    """Mean of values per positive degree class, accumulated in node order."""
-    totals: dict[int, float] = {}
+    """Exact mean of values (ints or Fractions) per positive degree class,
+    rounded to float once."""
+    totals: dict[int, Fraction] = {}
     counts: dict[int, int] = {}
     for value, d in zip(values, degrees):
         d = int(d)
         if d == 0:
             continue
-        totals[d] = totals.get(d, 0.0) + value
+        totals[d] = totals.get(d, 0) + Fraction(value)
         counts[d] = counts.get(d, 0) + 1
-    return {d: totals[d] / counts[d] for d in sorted(totals)}
+    return {d: float(totals[d] / counts[d]) for d in sorted(totals)}
 
 
 def endpoint_degree_pairs(a):
@@ -98,18 +107,41 @@ def pearson(pairs):
     return cov / math.sqrt(vx * vy)
 
 
-def nip_per_node(a, scale_raw=False):
+def nip_exact(a, scale_raw=False):
+    """(d_i + S_i) / 2m of every node as a Fraction; the int d_i + S_i when
+    ``scale_raw``."""
     deg = degrees_of(a)
     two_m = sum(deg)
-    knn = knn_per_node(a)
-    out = []
-    for i in range(len(deg)):
-        if deg[i] == 0:
-            out.append(0.0)
-            continue
-        value = deg[i] / two_m * (1.0 + knn[i])
-        out.append(value * two_m if scale_raw else value)
-    return out
+    raw = [d + s for d, s in zip(deg, neighbour_sums(a))]
+    return raw if scale_raw else [Fraction(r, two_m) for r in raw]
+
+
+def nip_per_node(a, scale_raw=False):
+    return [float(x) for x in nip_exact(a, scale_raw)]
+
+
+def edges_by_row(g):
+    """Each edge of ``g`` once as (label of u, label of v), u's internal
+    index not above v's, read row by row from the CSR arrays; a self-loop
+    fills two slots of its row."""
+    labels = g.node_labels.tolist()
+    edges = []
+    for i in range(g.node_count):
+        row = g.indices[g.indptr[i] : g.indptr[i + 1]].tolist()
+        edges += [(labels[i], labels[j]) for j in row if j > i]
+        edges += [(labels[i], labels[i])] * (row.count(i) // 2)
+    return edges
+
+
+def same_labelled_graph(g1, g2):
+    """True when two graphs have identical label sets and edge multisets
+    (each edge as its sorted endpoint labels); internal order is ignored."""
+
+    def key(g):
+        edges = sorted((min(e), max(e)) for e in edges_by_row(g))
+        return g.node_count, g.edge_count, sorted(g.node_labels.tolist()), edges
+
+    return key(g1) == key(g2)
 
 
 def random_edge_list(rng, n, multiset, allow_empty=False):

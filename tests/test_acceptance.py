@@ -23,8 +23,8 @@ from netpatrimony import (
     SIMPLE,
     DegreeSequenceSpec,
     build_graph,
-    configuration_model,
     degree_stats,
+    generate,
     ip,
     is_graphical,
     knn_class,
@@ -70,7 +70,7 @@ def test_criterion_1_six_node_fixture():
     g = build_graph(SIX_NODE_EDGES, mode=SIMPLE)
     stats = degree_stats(g)
     per_node = knn_node(g)
-    per_class = knn_class(g, per_node)
+    per_class = knn_class(g)
     checks = [
         stats.degree_sequence.tolist() == [4, 3, 3, 2, 2, 2],
         stats.mean_degree == 8 / 3,
@@ -272,12 +272,14 @@ def test_criterion_5_property_suite():
         oracle_knn = oracles.knn_per_node(a)
         got_knn = knn_node(g)
         assert np.array_equal(got_knn, np.array(oracle_knn), equal_nan=True)
-        assert knn_class(g, got_knn) == oracles.class_means(got_knn.tolist(), g.degrees)
+        assert knn_class(g) == oracles.class_means(oracles.knn_exact(a), g.degrees)
         norm = nip_node_correlated(g, scale=NORMALIZED)
         raw = nip_node_correlated(g, scale=RAW)
         assert np.array_equal(norm, np.array(oracles.nip_per_node(a)))
-        assert np.array_equal(raw, norm * (2 * g.edge_count))
-        assert nip_class(g) == oracles.class_means(norm.tolist(), g.degrees)
+        assert raw.tolist() == oracles.nip_exact(a, scale_raw=True)
+        for scale_raw, scale in ((False, NORMALIZED), (True, RAW)):
+            expected = oracles.class_means(oracles.nip_exact(a, scale_raw), g.degrees)
+            assert nip_class(g, scale=scale) == expected
         checked += 1
 
     # complete-graph law and the regular-graph factorization equivalence
@@ -312,20 +314,20 @@ def test_criterion_6_configuration_model_suite():
 
     # degree preservation under MULTIGRAPH for every seed in a 100-seed sweep
     for seed in range(100):
-        g = configuration_model(sequence, seed=seed, simple_policy=MULTIGRAPH)
+        g = generate(sequence, seed=seed, simple_policy=MULTIGRAPH)[0]
         assert np.array_equal(g.degrees, sequence), seed
 
     # seed determinism: byte-identical dumps
-    dump_a = "\n".join(edge_dump_lines(configuration_model(sequence, seed=7)))
-    dump_b = "\n".join(edge_dump_lines(configuration_model(sequence, seed=7)))
-    dump_c = "\n".join(edge_dump_lines(configuration_model(sequence, seed=8)))
+    dump_a = "\n".join(edge_dump_lines(generate(sequence, seed=7)[0]))
+    dump_b = "\n".join(edge_dump_lines(generate(sequence, seed=7)[0]))
+    dump_c = "\n".join(edge_dump_lines(generate(sequence, seed=8)[0]))
     assert dump_a == dump_b
     assert dump_a != dump_c
 
     # ensemble-mean neighbour degree vs the degree-moment prediction
     predicted = int(np.dot(sequence, sequence)) / int(sequence.sum())
     means = [
-        float(np.mean(knn_node(configuration_model(sequence, seed=seed))))
+        float(np.mean(knn_node(generate(sequence, seed=seed)[0])))
         for seed in range(200)
     ]
     ensemble_mean = float(np.mean(means))

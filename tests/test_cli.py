@@ -28,7 +28,14 @@ from netpatrimony import (
 )
 from netpatrimony import cli
 from netpatrimony.cli import main
-from conftest import BAD_SPEC_FIELDS, SIX_NODE_FILE, VALID_SPECS, bad_spec, require_amazon
+from conftest import (
+    BAD_SPEC_FIELDS,
+    SIX_NODE_FILE,
+    UNKNOWN_SPEC_KEYS,
+    VALID_SPECS,
+    bad_spec,
+    require_amazon,
+)
 
 
 def read_csv(path):
@@ -599,6 +606,15 @@ class TestCongenCommand:
         assert main(["congen", str(spec), "--output-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: spec field '{field}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, key", UNKNOWN_SPEC_KEYS)
+    def test_unknown_spec_key_is_input_error(self, tmp_path, capsys, data, key):
+        spec = self.write_spec(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["congen", str(spec), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown spec key '{key}'") and err.count("\n") == 1, err
         assert not out.exists()
 
     def test_seed_override_is_validated(self, tmp_path, capsys):

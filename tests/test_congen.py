@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import BAD_SPEC_FIELDS, bad_spec
+from conftest import BAD_SPEC_FIELDS, UNKNOWN_SPEC_KEYS, bad_spec
 from netpatrimony import (
     ERASE,
     EXPLICIT,
@@ -18,7 +18,6 @@ from netpatrimony import (
     SIMPLE,
     DegreeSequenceSpec,
     RejectionExhaustedError,
-    configuration_model,
     first_violated_prefix,
     generate,
     is_graphical,
@@ -103,6 +102,11 @@ class TestSpec:
         with pytest.raises(ValueError, match=f"^spec field '{field}"):
             DegreeSequenceSpec.from_dict(bad_spec(source, field, value))
 
+    @pytest.mark.parametrize("data, key", UNKNOWN_SPEC_KEYS)
+    def test_unknown_key_is_named(self, data, key):
+        with pytest.raises(ValueError, match=f"^unknown spec key '{key}'"):
+            DegreeSequenceSpec.from_dict(data)
+
     def test_spec_echo_holds_plain_ints_and_floats(self):
         """meta.json echoes a spec as it was read: an integer given for a real
         field becomes a float, and a numpy integer a Python int."""
@@ -174,7 +178,7 @@ class TestSampling:
 class TestGeneration:
     def test_triangle_is_forced(self):
         for seed in (0, 1, 99):
-            g = configuration_model([2, 2, 2], seed=seed, simple_policy=REJECT)
+            g = generate([2, 2, 2], seed=seed, simple_policy=REJECT)[0]
             assert edge_dump_lines(g) == ["0\t1", "0\t2", "1\t2"]
             assert g.mode == SIMPLE
 
@@ -185,7 +189,7 @@ class TestGeneration:
             seq = rng.integers(0, 6, size=n)
             if int(seq.sum()) % 2:
                 seq[0] += 1
-            g = configuration_model(seq, seed=seed, simple_policy=MULTIGRAPH)
+            g = generate(seq, seed=seed, simple_policy=MULTIGRAPH)[0]
             assert g.mode == RAW_MULTISET
             assert g.node_count == n
             assert np.array_equal(g.degrees, seq)
@@ -196,7 +200,7 @@ class TestGeneration:
         seq = np.array([12, 6, 5, 4, 3, 3, 2, 2, 1, 0, 1, 3])
         loops = 0
         for seed in range(5):
-            g = configuration_model(seq, seed=seed, simple_policy=MULTIGRAPH)
+            g = generate(seq, seed=seed, simple_policy=MULTIGRAPH)[0]
             a, b = _match_stubs(seq, np.random.default_rng(seed)).T
             pairs = list(zip(a.tolist(), b.tolist()))
             path = tmp_path / f"edges{seed}.txt"
@@ -279,30 +283,36 @@ class TestGeneration:
 
     def test_reject_exhausts_on_non_graphical(self):
         with pytest.raises(RejectionExhaustedError) as exc:
-            configuration_model([3, 3, 1, 1], seed=0, simple_policy=REJECT, max_attempts=5)
+            generate([3, 3, 1, 1], seed=0, simple_policy=REJECT, max_attempts=5)
         assert exc.value.attempts == 5
         assert "5" in str(exc.value)
 
     def test_odd_sum_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            configuration_model([1, 1, 1])
+            generate([1, 1, 1])
 
     def test_empty_and_negative_rejected(self):
         with pytest.raises(ValueError):
-            configuration_model([])
+            generate([])
         with pytest.raises(ValueError):
-            configuration_model([2, -2])
+            generate([2, -2])
+
+    def test_degree_sum_of_2_to_the_63_rejected(self):
+        # The int64 sum of these degrees wraps to 0, an even total; laying
+        # out their stubs must not be attempted.
+        with pytest.raises(ValueError, match=r"less than 2\^63, got 18446744073709551616"):
+            generate([2**62] * 4)
 
     def test_zero_degrees_become_isolated_nodes(self):
-        g = configuration_model([2, 0, 2, 0], seed=2, simple_policy=MULTIGRAPH)
+        g = generate([2, 0, 2, 0], seed=2, simple_policy=MULTIGRAPH)[0]
         assert g.node_count == 4
         assert g.degrees.tolist() == [2, 0, 2, 0]
 
     def test_seed_determinism_and_variation(self):
         seq = sample_degree_sequence(DegreeSequenceSpec.poisson(3.0, 100, seed=0))
-        first = edge_dump_lines(configuration_model(seq, seed=5))
-        second = edge_dump_lines(configuration_model(seq, seed=5))
-        other = edge_dump_lines(configuration_model(seq, seed=6))
+        first = edge_dump_lines(generate(seq, seed=5)[0])
+        second = edge_dump_lines(generate(seq, seed=5)[0])
+        other = edge_dump_lines(generate(seq, seed=6)[0])
         assert first == second
         assert first != other
 
@@ -322,7 +332,7 @@ class TestGeneration:
         assert len(np.unique(seq)) > 1
         samples = np.array(
             [
-                assortativity(configuration_model(seq, seed=s, simple_policy=MULTIGRAPH))
+                assortativity(generate(seq, seed=s, simple_policy=MULTIGRAPH)[0])
                 for s in range(200)
             ]
         )

@@ -63,7 +63,13 @@ def test_isolated_node_knn_is_nan():
     values = knn_node(g)
     assert values.tolist()[:2] == [1.0, 1.0]
     assert math.isnan(values[2])
-    assert knn_class(g, values) == {1: 1.0}  # degree-0 class excluded
+    assert knn_class(g) == {1: 1.0}  # degree-0 class excluded
+
+
+def test_knn_class_refuses_float_values(six_node_simple):
+    # Class totals are exact only over integers; knn_i values are not sums.
+    with pytest.raises(TypeError, match="integer"):
+        knn_class(six_node_simple, knn_node(six_node_simple))
 
 
 def test_self_loop_contributes_own_degree():
@@ -110,7 +116,7 @@ def test_matches_oracles_on_random_graphs(multiset):
         expected = np.array(oracles.knn_per_node(a))
         got = knn_node(g)
         assert np.array_equal(got, expected, equal_nan=True)
-        assert knn_class(g, got) == oracles.class_means(got.tolist(), g.degrees)
+        assert knn_class(g) == oracles.class_means(oracles.knn_exact(a), g.degrees)
         r = assortativity(g)
         r_ref = oracles.pearson(oracles.endpoint_degree_pairs(a))
         if math.isnan(r_ref):

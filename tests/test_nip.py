@@ -24,6 +24,7 @@ from netpatrimony import (
     nip_node_uncorrelated,
     nip_scores,
 )
+from netpatrimony.reference import SIX_NODE_EDGES
 
 
 def labels(codes):
@@ -88,17 +89,21 @@ def test_network_score_exceeds_one(six_node_simple, path5, star5, ring6):
         assert nip_network(degree_stats(g)) > 1.0
 
 
-def test_raw_is_normalized_times_two_m(six_node_simple):
+def test_raw_is_normalized_times_two_m():
+    # RAW is the integer d_i + S_i itself; NORMALIZED is that integer over 2m,
+    # rounded once, so the two differ by 2m up to that rounding.
     rng = np.random.default_rng(99)
-    graphs = [six_node_simple]
+    cases = [([(u - 1, v - 1) for u, v in SIX_NODE_EDGES], 6, False)]
     for _ in range(60):
         n = int(rng.integers(2, 12))
-        edges = oracles.random_edge_list(rng, n, True)
-        graphs.append(build_graph(edges, mode=RAW_MULTISET, nodes=range(n)))
-    for g in graphs:
+        cases.append((oracles.random_edge_list(rng, n, True), n, True))
+    for edges, n, multiset in cases:
+        g = build_graph(edges, mode=RAW_MULTISET if multiset else SIMPLE, nodes=range(n))
         norm = nip_node_correlated(g, scale=NORMALIZED)
         raw = nip_node_correlated(g, scale=RAW)
-        assert np.array_equal(raw, norm * (2 * g.edge_count))
+        a = oracles.adjacency_matrix(edges, n, multiset)
+        assert raw.tolist() == oracles.nip_exact(a, scale_raw=True)
+        assert np.allclose(raw, norm * (2 * g.edge_count), rtol=2**-52, atol=0)
 
 
 def test_class_means_match_loop_oracle():
@@ -111,11 +116,11 @@ def test_class_means_match_loop_oracle():
             if not edges:
                 continue
             g = build_graph(edges, mode=mode, nodes=range(n))
-            values = nip_node_correlated(g)
-            assert nip_class(g) == oracles.class_means(values.tolist(), g.degrees)
             a = oracles.adjacency_matrix(edges, n, multiset)
-            expected = oracles.nip_per_node(a)
-            assert np.allclose(values, expected, rtol=1e-12, atol=0)
+            for scale_raw, scale in ((False, NORMALIZED), (True, RAW)):
+                expected = oracles.class_means(oracles.nip_exact(a, scale_raw), g.degrees)
+                assert nip_class(g, scale=scale) == expected
+            assert nip_node_correlated(g).tolist() == oracles.nip_per_node(a)
 
 
 def test_path_graph_classification(path5):
