@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import congen as cg
 from . import graph, metrics, nip
 from .graph import (
     DENSITY_CONVENTIONS,
@@ -38,7 +37,6 @@ from .graph import (
     load_graph,
     write_edge_dump,
 )
-from .reference import AMAZON_REFERENCE
 
 REPORT_METRICS = (
     "n",
@@ -274,6 +272,8 @@ def cmd_nip(args) -> int:
 
 
 def cmd_congen(args) -> int:
+    from . import congen as cg  # imported by ``congen`` alone
+
     spec_path = Path(args.spec)
     spec = cg.DegreeSequenceSpec.from_json(spec_path.read_text(encoding="utf-8"))
     if args.seed is not None:
@@ -329,6 +329,8 @@ def _report_rows(path: Path, modes: list[str], density_convention: str) -> list[
 
 
 def _report_row(name: str, g: Graph, density_convention: str) -> dict:
+    from .reference import AMAZON_REFERENCE  # imported by ``report`` alone
+
     stats = degree_stats(g, density_convention=density_convention)
     if g.edge_count == 0:
         # knn_global, assortativity and nip_network need an edge.

@@ -328,9 +328,9 @@ def generate(
                 return g, info
         raise RejectionExhaustedError(max_attempts)
 
-    pairs = _match_stubs(deg, rng)
     info["attempts"] = 1
-    g = build_graph(pairs, mode=RAW_MULTISET, nodes=nodes)
+    # Passed without a name here, so build_graph can free the stubs early.
+    g = build_graph(_match_stubs(deg, rng), mode=RAW_MULTISET, nodes=nodes)
     if simple_policy == ERASE:
         # The SIMPLE derivation is exactly the erasure step.
         simple = simple_graph(g)

@@ -266,7 +266,8 @@ def build_graph(
         raise ValueError("empty edge list and no nodes given: graph is undefined")
 
     ids, labels = _first_appearance_ids(pairs.reshape(-1), extra)
-    ids = ids.reshape(pairs.shape)
+    ids = ids.reshape(-1, 2)
+    del edges, pairs, extra  # a caller that kept no reference frees them here
     n = len(labels)
 
     # Both orientations' packed keys ``a*n + b`` and ``b*n + a`` go into one
