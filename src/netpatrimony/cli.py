@@ -12,16 +12,22 @@ next to its outputs; no output embeds timestamps, so reruns with equal
 inputs are byte-identical.  Each command takes only the options it reads,
 but ``run_config.json`` and ``summary.json`` echo ``density_convention``,
 ``scale`` and ``tolerance`` at their defaults where a command takes none.
+
+A CLI process enters through ``run``, which freezes the garbage collector's
+objects once ``main`` returns, so interpreter shutdown does not collect them
+again; ``main`` called in-process does not freeze.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -460,5 +466,15 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Process entry: exit with ``main()``'s code.  Every output file is
+    closed once ``main`` returns, so all tracked objects are frozen first and
+    the collections of interpreter shutdown no longer walk them; exit codes,
+    atexit handlers and the flushing of stdout and stderr are unchanged."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -232,17 +232,17 @@ def first_violated_prefix(degrees: Sequence[int] | np.ndarray) -> int | None:
     return int(bad[0]) + 1 if bad.size else None
 
 
-def _draw(spec: DegreeSequenceSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+def _sampler(spec: DegreeSequenceSpec) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """``draw(rng, size)``: ``size`` degrees of a parametric ``spec``.  The
+    POWERLAW CDF is built here once, so a parity redraw costs one uniform
+    draw and one binary search."""
     if spec.source == POISSON:
-        return rng.poisson(spec.mean, size).astype(np.int64)
+        return lambda rng, size: rng.poisson(spec.mean, size).astype(np.int64)
     # POWERLAW: inverse-CDF sampling on the integer support min_degree..n-1,
     # weighting degree d by d**-exponent.
-    support = np.arange(spec.min_degree, spec.n, dtype=np.int64)
-    weights = support.astype(float) ** (-spec.exponent)
-    cdf = np.cumsum(weights)
+    cdf = np.cumsum(np.arange(spec.min_degree, spec.n, dtype=float) ** (-spec.exponent))
     cdf /= cdf[-1]
-    u = rng.random(size)
-    return support[np.searchsorted(cdf, u, side="left")]
+    return lambda rng, size: spec.min_degree + np.searchsorted(cdf, rng.random(size), side="left")
 
 
 def sample_degree_sequence(spec: DegreeSequenceSpec) -> np.ndarray:
@@ -255,12 +255,13 @@ def sample_degree_sequence(spec: DegreeSequenceSpec) -> np.ndarray:
     if spec.source == EXPLICIT:
         return np.asarray(spec.degrees, dtype=np.int64)
     rng = np.random.default_rng(spec.seed)
-    seq = _draw(spec, rng, spec.n)
+    draw = _sampler(spec)
+    seq = draw(rng, spec.n)
     for _ in range(_PARITY_ATTEMPTS):
         if int(seq.sum()) % 2 == 0:
             return seq
         pos = int(rng.integers(spec.n))
-        seq[pos] = _draw(spec, rng, 1)[0]
+        seq[pos] = draw(rng, 1)[0]
     raise RuntimeError(
         f"could not reach an even degree sum after {_PARITY_ATTEMPTS} redraws"
     )

@@ -1,6 +1,7 @@
 import bz2
 import csv
 import functools
+import gc
 import gzip
 import json
 import lzma
@@ -784,3 +785,76 @@ def test_import_starts_openblas_with_one_thread(preset, numpy_first, expected):
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == expected
+
+
+#: The two ways a process enters the CLI: ``python -m`` and the console
+#: script's wrapper, which calls ``sys.exit(run())``.
+ENTRY_ROUTES = {
+    "module": ["-m", "netpatrimony.cli"],
+    "script": ["-c", "import sys; from netpatrimony.cli import run; sys.exit(run())"],
+}
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    # Without PYTHONUNBUFFERED stdout is block-buffered, as in a shell pipe,
+    # so an exit that skipped the final flush would lose the report table.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    package_root = str(Path(netpatrimony.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def _entry_cases(tmp_path: Path) -> dict:
+    spec = tmp_path / "reject.json"
+    # Graphical, but seed 1's one permitted matching is not simple.
+    spec.write_text(
+        '{"source": "EXPLICIT", "params": {"degrees": [3, 3, 3, 3]}, "seed": 1,'
+        ' "simple_policy": "REJECT", "max_attempts": 1}'
+    )
+    out = str(tmp_path / "out")
+    return {
+        0: ["report", "--both-modes", str(SIX_NODE_FILE)],
+        1: ["nip", str(tmp_path / "missing.txt"), "--output-dir", out],
+        2: ["congen", str(spec), "--output-dir", out],
+        3: ["report", str(tmp_path / "none.txt")],
+    }
+
+
+@pytest.mark.parametrize("route", sorted(ENTRY_ROUTES))
+@pytest.mark.parametrize("expected", [0, 1, 2, 3])
+def test_process_entry_exits_with_main_code_and_full_streams(tmp_path, capsys, route, expected):
+    """A CLI process exits with ``main``'s code, and its stdout (the
+    ``report`` table) and stderr (the ``error:`` line) arrive complete, equal
+    to what ``main`` prints in-process."""
+    argv = _entry_cases(tmp_path)[expected]
+    assert main(argv) == expected
+    printed = capsys.readouterr()
+    run = run_python(*ENTRY_ROUTES[route], *argv)
+    assert (run.returncode, run.stdout, run.stderr) == (expected, printed.out, printed.err)
+    if expected in (0, 3):
+        assert run.stdout.split()[:2] == ["dataset", "mode"]  # the table's header
+    else:
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_process_entry_freezes_and_keeps_atexit_handlers(tmp_path):
+    """The entry freezes the collector's objects before the interpreter
+    exits; atexit handlers still run, and still print to stdout."""
+    code = (
+        "import atexit, gc, sys\n"
+        "from netpatrimony.cli import run\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "run()"
+    )
+    out = tmp_path / "out"
+    run = run_python("-c", code, "stats", str(SIX_NODE_FILE), "--output-dir", str(out))
+    assert (run.returncode, run.stdout, run.stderr) == (0, "frozen True\n", "")
+    assert read_json(out / "summary.json")["n"] == 6
+
+
+def test_in_process_main_does_not_freeze(tmp_path, capsys):
+    before = gc.get_freeze_count()
+    assert main(["report", str(SIX_NODE_FILE)]) == 0
+    assert main(["nip", str(SIX_NODE_FILE), "--output-dir", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == before

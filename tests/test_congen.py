@@ -157,6 +157,28 @@ class TestSampling:
         b = sample_degree_sequence(spec)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n, seed, redraws", [(20_000, 7, 8), (640_000, 1, 7)])
+    def test_parity_redraws_keep_the_draws_of_a_cdf_per_redraw(self, n, seed, redraws):
+        """The CDF is built once per call, but every draw, and so every
+        sequence, is the one a support and CDF rebuilt per redraw give."""
+
+        def draw(spec, rng, size):
+            support = np.arange(spec.min_degree, spec.n, dtype=np.int64)
+            cdf = np.cumsum(support.astype(float) ** (-spec.exponent))
+            cdf /= cdf[-1]
+            return support[np.searchsorted(cdf, rng.random(size), side="left")]
+
+        spec = DegreeSequenceSpec.power_law(2.5, 4, n, seed=seed)
+        rng = np.random.default_rng(seed)
+        expected = draw(spec, rng, n)
+        done = 0
+        while int(expected.sum()) % 2:
+            pos = int(rng.integers(n))  # drawn before the new degree
+            expected[pos] = draw(spec, rng, 1)[0]
+            done += 1
+        assert done == redraws
+        assert np.array_equal(sample_degree_sequence(spec), expected)
+
     def test_power_law_tail_exponent(self):
         # The complementary CDF of a d^-gamma sample should fall on a
         # log-log line of slope roughly -(gamma - 1).  The fit is restricted
