@@ -248,9 +248,7 @@ def cmd_knn(args) -> int:
 
 def cmd_nip(args) -> int:
     outdir, g, stats, profile = _analyse(args)
-    scores = nip.nip_scores(
-        g, scale=args.scale, tolerance=args.tolerance, stats=stats, knn=profile
-    )
+    scores = nip.nip_scores(g, scale=args.scale, tolerance=args.tolerance, stats=stats)
     # Degree-valued cells come from tables by degree.
     degree = np.arange(g.degrees.max(initial=0) + 1)
     ip = np.zeros(len(degree))
@@ -404,7 +402,12 @@ def _add_common(parser, default_mode=SIMPLE):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="netpatrimony", description=__doc__)
+    parser = _Parser(
+        prog="netpatrimony",
+        description="Degree correlations and information-patrimony scores of networks.",
+        epilog="exit codes: 0 success, 1 input error (missing or malformed file, bad "
+        "option or spec), 2 computation error, 3 report computed no row.",
+    )
     parser.set_defaults(  # echoed by commands without these options
         density_convention=TABLE1, scale=nip.NORMALIZED, tolerance=nip.DEFAULT_TOLERANCE
     )

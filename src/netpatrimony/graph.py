@@ -22,6 +22,7 @@ appearance, and the original labels are kept for output.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import io
 import lzma
@@ -33,6 +34,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from . import _parallel
 
 RAW_MULTISET = "RAW_MULTISET"
 SIMPLE = "SIMPLE"
@@ -99,6 +102,15 @@ class Graph:
         return (
             f"Graph(n={self.node_count}, m={self.edge_count}, mode={self.mode})"
         )
+
+    @functools.cached_property
+    def neighbour_degree_sums(self) -> np.ndarray:
+        """Sum S_i of the neighbours' degrees of every node, as exact int64
+        and read-only: one row-sum pass on first access, kept with the graph,
+        so every measure built on S_i shares it."""
+        sums = _parallel.row_sums(self.indptr, self.indices, self.degrees)
+        sums.setflags(write=False)
+        return sums
 
 
 @dataclass(frozen=True)
@@ -227,8 +239,18 @@ def _group_starts(sorted_values: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _labels(values, name: str) -> np.ndarray:
+    """``values`` as int64, read in place when it is int64; ValueError naming
+    ``name`` unless it holds only integers of the int64 range (an empty list,
+    which numpy reads as float64, holds none)."""
+    arr = np.asarray(values)
+    if arr.size and (arr.dtype.kind not in "iu" or arr.dtype.kind == "u" and arr.max() >= 2**63):
+        raise ValueError(f"{name} must be integer labels of the int64 range, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def build_graph(
-    edges: Iterable[tuple[int, int]] | np.ndarray,
+    edges: Sequence[tuple[int, int]] | np.ndarray,
     mode: str = SIMPLE,
     nodes: Sequence[int] | np.ndarray | None = None,
 ) -> Graph:
@@ -249,19 +271,20 @@ def build_graph(
     Raises
     ------
     ValueError
-        If ``mode`` is unknown, or the edge list is empty and no ``nodes``
-        were supplied (there would be nothing to define the graph).
+        If ``mode`` is unknown, a label is not an integer of the int64 range,
+        or the edge list is empty and no ``nodes`` were supplied (nothing
+        would define the graph).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r} (expected RAW_MULTISET or SIMPLE)")
 
-    pairs = np.asarray(edges, dtype=np.int64)
+    pairs = _labels(edges, "edges")
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"edges must have shape (k, 2), got {pairs.shape}")
 
-    extra = np.asarray([] if nodes is None else nodes, dtype=np.int64).reshape(-1)
+    extra = _labels([] if nodes is None else nodes, "nodes").reshape(-1)
     if pairs.shape[0] == 0 and extra.size == 0:
         raise ValueError("empty edge list and no nodes given: graph is undefined")
 

@@ -17,6 +17,8 @@ values differ on such graphs.
 k_nn,i = S_i / d_i and k_nn(d) = T_d / (d * N_d) are each one division of
 exact integers (S_i: node i's neighbour-degree sum; N_d, T_d: the node count
 and S_i total of class d), so no value depends on the edge list's line order.
+Every measure reads S_i from ``Graph.neighbour_degree_sums``, one row-sum
+pass per graph however many measures are taken.
 
 Undefined values (isolated nodes, zero-variance assortativity) are reported
 as NaN rather than raising.
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _parallel
 from .graph import DegreeStats, Graph, degree_stats
 
 
@@ -40,7 +41,6 @@ class KnnProfile:
     knn_node: np.ndarray = field(repr=False)
     knn_class: dict[int, float] = field(repr=False)
     assortativity: float
-    sums: np.ndarray = field(repr=False)  # neighbour_degree_sums of the graph
 
 
 def knn_global(stats: DegreeStats) -> float:
@@ -57,20 +57,10 @@ def knn_global(stats: DegreeStats) -> float:
     return stats.degree_square_sum / stats.degree_sum
 
 
-def neighbour_degree_sums(g: Graph) -> np.ndarray:
-    """Sum of the neighbours' degrees of every node, as exact int64."""
-    return _parallel.row_sums(g.indptr, g.indices, g.degrees)
-
-
-def knn_node(g: Graph, sums: np.ndarray | None = None) -> np.ndarray:
-    """Per-node mean neighbour degree; NaN for isolated nodes.
-
-    ``sums`` takes ``neighbour_degree_sums(g)`` when the caller has it.
-    """
-    if sums is None:
-        sums = neighbour_degree_sums(g)
+def knn_node(g: Graph) -> np.ndarray:
+    """Per-node mean neighbour degree; NaN for isolated nodes."""
     out = np.full(g.node_count, np.nan)
-    np.divide(sums, g.degrees, out=out, where=g.degrees > 0)
+    np.divide(g.neighbour_degree_sums, g.degrees, out=out, where=g.degrees > 0)
     return out
 
 
@@ -86,12 +76,11 @@ def class_totals(degrees: np.ndarray, values: np.ndarray) -> list[tuple[int, int
     return [(int(d), int(counts[d]), int(totals[d])) for d in np.flatnonzero(counts) if d >= 1]
 
 
-def knn_class(g: Graph, sums: np.ndarray | None = None) -> dict[int, float]:
+def knn_class(g: Graph) -> dict[int, float]:
     """k_nn(d) = T_d / (d * N_d) of each occupied degree class d >= 1 by
-    ascending degree; ``sums`` takes ``neighbour_degree_sums(g)`` if known."""
-    if sums is None:
-        sums = neighbour_degree_sums(g)
-    return {d: total / (d * count) for d, count, total in class_totals(g.degrees, sums)}
+    ascending degree."""
+    totals = class_totals(g.degrees, g.neighbour_degree_sums)
+    return {d: total / (d * count) for d, count, total in totals}
 
 
 def degree_histogram(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,15 +90,7 @@ def degree_histogram(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return occurring, counts[occurring]
 
 
-def _exact_power_sums(degrees: np.ndarray) -> tuple[int, int]:
-    """(sum d^2, sum d^3) as exact Python integers."""
-    uniq, cnt = degree_histogram(degrees)
-    s2 = sum(int(c) * int(d) ** 2 for d, c in zip(uniq, cnt))
-    s3 = sum(int(c) * int(d) ** 3 for d, c in zip(uniq, cnt))
-    return s2, s3
-
-
-def assortativity(g: Graph, sums: np.ndarray | None = None) -> float:
+def assortativity(g: Graph) -> float:
     """Pearson correlation of endpoint degrees over ordered edge endpoints.
 
     Every edge contributes both (d_u, d_v) and (d_v, d_u), making the two
@@ -117,17 +98,16 @@ def assortativity(g: Graph, sums: np.ndarray | None = None) -> float:
     are carried exactly in integers, so the result is deterministic to the
     last bit.  Returns NaN when the endpoint-degree variance is zero
     (e.g. regular graphs); raises ValueError for an edgeless graph.
-    ``sums`` takes ``neighbour_degree_sums(g)`` when the caller has it.
     """
     if g.edge_count == 0:
         raise ValueError("assortativity is undefined for a graph with no edges")
-    deg = g.degrees
     pair_count = 2 * g.edge_count  # == sum of degrees
-    # Over the 2m ordered pairs: sum of x is sum d_i^2, sum of x^2 is sum d_i^3.
-    s_x, s_xx = _exact_power_sums(deg)
-    if sums is None:
-        sums = neighbour_degree_sums(g)
-    s_xy = _exact_dot(deg, sums)
+    # Over the 2m ordered pairs, summed by degree class: sum of x is
+    # sum d_i^2, sum of x^2 is sum d_i^3 and sum of x*y is sum d_i * S_i.
+    classes = class_totals(g.degrees, g.neighbour_degree_sums)
+    s_x = sum(count * d**2 for d, count, _ in classes)
+    s_xx = sum(count * d**3 for d, count, _ in classes)
+    s_xy = sum(d * total for d, _, total in classes)
     num = pair_count * s_xy - s_x * s_x
     den = pair_count * s_xx - s_x * s_x
     if den == 0:
@@ -135,25 +115,13 @@ def assortativity(g: Graph, sums: np.ndarray | None = None) -> float:
     return num / den
 
 
-def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact integer dot product, falling back to Python ints near overflow."""
-    if len(a) == 0:
-        return 0
-    bound = int(np.abs(a).max()) * int(np.abs(b).max()) * len(a)
-    if bound < 2**62:
-        return int(np.dot(a, b))
-    return sum(int(x) * int(y) for x, y in zip(a, b))
-
-
 def knn_profile(g: Graph, stats: DegreeStats | None = None) -> KnnProfile:
-    """Compute the full neighbour-degree bundle from one row-sum pass."""
+    """Compute the full neighbour-degree bundle of ``g``."""
     if stats is None:
         stats = degree_stats(g)
-    sums = neighbour_degree_sums(g)
     return KnnProfile(
         knn_global=knn_global(stats),
-        knn_node=knn_node(g, sums=sums),
-        knn_class=knn_class(g, sums=sums),
-        assortativity=assortativity(g, sums=sums),
-        sums=sums,
+        knn_node=knn_node(g),
+        knn_class=knn_class(g),
+        assortativity=assortativity(g),
     )

@@ -15,6 +15,8 @@ degrees are uncorrelated the per-node score factorizes as ip_i * nip_network.
 Scores come in two scales: NORMALIZED keeps the 1/2m factor, RAW is the
 integer d_i + S_i = d_i * (1 + k_nn,i).  A score, per node or as a degree
 class mean, is one division of exact integers, whatever the line order.
+S_i is ``Graph.neighbour_degree_sums``, computed once per graph and shared
+with the ``metrics`` measures.
 Class means are the baseline that classifies nodes as over- or
 under-performers relative to peers of the same degree.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import DegreeStats, Graph, degree_stats
-from .metrics import KnnProfile, class_totals, knn_global, neighbour_degree_sums
+from .metrics import class_totals, knn_global
 
 NORMALIZED = "NORMALIZED"
 RAW = "RAW"
@@ -74,33 +76,27 @@ def nip_node_uncorrelated(g: Graph, stats: DegreeStats | None = None) -> np.ndar
     return ip(g) * nip_network(stats)
 
 
-def _raw_scores(g: Graph, sums: np.ndarray | None, scale: str) -> tuple[np.ndarray, int]:
+def _raw_scores(g: Graph, scale: str) -> tuple[np.ndarray, int]:
     """d_i + S_i of every node, and q: 2m on the NORMALIZED scale, 1 on RAW.
     ValueError for an unknown scale or a graph without edges."""
     if scale not in SCALES:
         raise ValueError(f"unknown scale: {scale!r} (expected NORMALIZED or RAW)")
     if g.edge_count == 0:
         raise ValueError("nip is undefined for a graph with no edges")
-    if sums is None:
-        sums = neighbour_degree_sums(g)
-    return g.degrees + sums, 2 * g.edge_count if scale == NORMALIZED else 1
+    return g.degrees + g.neighbour_degree_sums, 2 * g.edge_count if scale == NORMALIZED else 1
 
 
-def nip_node_correlated(
-    g: Graph, sums: np.ndarray | None = None, scale: str = NORMALIZED
-) -> np.ndarray:
-    """Per-node score (d_i + S_i) / q from the neighbour-degree sums S_i
-    (``sums``, computed when not given); isolated nodes score 0."""
-    raw, q = _raw_scores(g, sums, scale)
+def nip_node_correlated(g: Graph, scale: str = NORMALIZED) -> np.ndarray:
+    """Per-node score (d_i + S_i) / q from the neighbour-degree sums S_i;
+    isolated nodes score 0."""
+    raw, q = _raw_scores(g, scale)
     return raw / q
 
 
-def nip_class(
-    g: Graph, sums: np.ndarray | None = None, scale: str = NORMALIZED
-) -> dict[int, float]:
+def nip_class(g: Graph, scale: str = NORMALIZED) -> dict[int, float]:
     """Mean per-node score of each occupied degree class d >= 1, by ascending
     degree: the class total of d_i + S_i over q * N_d."""
-    raw, q = _raw_scores(g, sums, scale)
+    raw, q = _raw_scores(g, scale)
     return {d: total / (q * count) for d, count, total in class_totals(g.degrees, raw)}
 
 
@@ -160,15 +156,13 @@ def nip_scores(
     scale: str = NORMALIZED,
     tolerance: float = DEFAULT_TOLERANCE,
     stats: DegreeStats | None = None,
-    knn: KnnProfile | None = None,
 ) -> NipScores:
     """Full patrimony bundle: shares, network score, per-node and per-class
     scores on the requested scale, and the per-node classification."""
     if stats is None:
         stats = degree_stats(g)
-    sums = neighbour_degree_sums(g) if knn is None else knn.sums
-    per_node = nip_node_correlated(g, sums=sums, scale=scale)
-    per_class = nip_class(g, sums=sums, scale=scale)
+    per_node = nip_node_correlated(g, scale=scale)
+    per_class = nip_class(g, scale=scale)
     return NipScores(
         ip=ip(g),
         nip_network=nip_network(stats),

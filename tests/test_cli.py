@@ -350,7 +350,7 @@ def test_analysis_csv_bytes_match_row_wise_writer(tmp_path, mode):
             ),
         }
         for scale in (NORMALIZED, RAW):
-            scores = nip_scores(g, scale=scale, stats=stats, knn=profile)
+            scores = nip_scores(g, scale=scale, stats=stats)
             rows = [
                 [label, d, k, share, score, scores.nip_class.get(d, float("nan")), cls, scale]
                 for label, d, k, share, score, cls in zip(
@@ -525,6 +525,18 @@ def test_usage_errors_exit_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
     capsys.readouterr()
+
+
+def test_help_is_for_users(capsys):
+    # The commands and exit codes, without the module's maintainer notes.
+    assert main(["--help"]) == 0
+    text = capsys.readouterr().out
+    listed = [line.split()[0] for line in text.splitlines() if line.startswith("    ")]
+    assert listed == ["stats", "knn", "nip", "congen", "report"]
+    out = " ".join(text.split())
+    assert "exit codes: 0 success, 1 input error" in out
+    assert "2 computation error, 3 report computed no row" in out
+    assert "gc.freeze" not in out and "run_config.json" not in out
 
 
 class TestCongenCommand:

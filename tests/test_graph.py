@@ -255,6 +255,50 @@ def test_empty_edges_require_nodes():
         build_graph([])
     g = build_graph([], nodes=[4, 5])
     assert (g.node_count, g.edge_count) == (2, 0)
+    # numpy reads an empty list as float64; it holds no fractional label.
+    assert build_graph(np.empty((0, 2)), nodes=[3]).node_count == 1
+    assert build_graph([(1, 2)], nodes=[]).node_labels.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "edges, nodes, name",
+    [
+        ([(1.5, 2)], None, "edges"),
+        ([(1.0, 2.0)], None, "edges"),
+        (np.array([[1, 2]], dtype=float), None, "edges"),
+        ([(1, 2)], [2.5], "nodes"),
+        ([(True, False)], None, "edges"),
+        ([(1, 2)], np.array([True]), "nodes"),
+        ([(2**64, 1)], None, "edges"),
+        ([(1, 2)], ["3"], "nodes"),
+        ([(2**63, 1)], None, "edges"),
+        (np.array([[1, 2**63]], dtype=np.uint64), None, "edges"),
+        ([(1, 2)], np.array([2**64 - 1], dtype=np.uint64), "nodes"),
+        (((u, v) for u, v in [(1, 2)]), None, "edges"),
+    ],
+    ids=[
+        "fraction", "integral-float", "float-array", "fractional-node", "bool",
+        "bool-node", "object", "str-node", "2**63", "uint64-2**63", "uint64-node",
+        "generator",
+    ],
+)
+def test_non_integer_labels_rejected(edges, nodes, name):
+    with pytest.raises(ValueError, match=f"^{name} must be integer labels"):
+        build_graph(edges, nodes=nodes)
+
+
+def test_integer_label_arrays_accepted_in_place():
+    stubs = np.arange(8, dtype=np.int64)
+    pairs = stubs.reshape(-1, 2)  # a view, as ``congen`` passes its stubs
+    assert graph_module._labels(pairs, "edges") is pairs
+    expected = build_graph(pairs, mode=RAW_MULTISET, nodes=[9])
+    for dtype in (np.int32, np.uint64, np.int16):
+        g = build_graph(pairs.astype(dtype), mode=RAW_MULTISET, nodes=np.array([9], dtype))
+        assert g.node_labels.dtype == np.int64
+        assert g.node_labels.tolist() == expected.node_labels.tolist()
+        assert g.indices.tolist() == expected.indices.tolist()
+    big = np.array([[2**63 - 1, 0]], dtype=np.uint64)
+    assert build_graph(big).node_labels.tolist() == [2**63 - 1, 0]
 
 
 def test_unknown_mode_rejected():

@@ -56,8 +56,8 @@ def _scores(pairs, mode):
     per_label = [g.node_labels[order], profile.knn_node[order]]
     per_class = [profile.knn_class]
     for scale in (NORMALIZED, RAW):
-        per_label.append(nip_node_correlated(g, sums=profile.sums, scale=scale)[order])
-        per_class.append(nip_class(g, sums=profile.sums, scale=scale))
+        per_label.append(nip_node_correlated(g, scale=scale)[order])
+        per_class.append(nip_class(g, scale=scale))
     return per_label, per_class
 
 

@@ -7,6 +7,7 @@ import oracles
 from netpatrimony import (
     RAW_MULTISET,
     SIMPLE,
+    _parallel,
     assortativity,
     build_graph,
     degree_stats,
@@ -14,6 +15,11 @@ from netpatrimony import (
     knn_global,
     knn_node,
     knn_profile,
+    metrics,
+    nip_class,
+    nip_node_correlated,
+    nip_scores,
+    simple_graph,
 )
 
 
@@ -69,7 +75,38 @@ def test_isolated_node_knn_is_nan():
 def test_knn_class_refuses_float_values(six_node_simple):
     # Class totals are exact only over integers; knn_i values are not sums.
     with pytest.raises(TypeError, match="integer"):
-        knn_class(six_node_simple, knn_node(six_node_simple))
+        metrics.class_totals(six_node_simple.degrees, knn_node(six_node_simple))
+
+
+def test_one_row_sum_pass_per_graph(monkeypatch):
+    # Every measure built on S_i reads the graph's cached sums; a derived
+    # graph has its own.
+    passes = []
+    row_sums = _parallel.row_sums
+    monkeypatch.setattr(_parallel, "row_sums", lambda *a: passes.append(a) or row_sums(*a))
+    edges = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 4), (1, 2), (5, 2)]
+    g = build_graph(edges, mode=RAW_MULTISET)
+    measures = (knn_node, knn_class, assortativity, knn_profile, nip_node_correlated, nip_class)
+    for measure in (*measures, nip_scores):
+        measure(g)
+    assert len(passes) == 1
+    simple = simple_graph(g)
+    for measure in (*measures, nip_scores):
+        measure(simple)
+    assert len(passes) == 2
+    for graph, mode in ((g, True), (simple, False)):
+        ids = [[graph.node_labels.tolist().index(x) for x in e] for e in edges]
+        a = oracles.adjacency_matrix(ids, graph.node_count, multiset=mode)
+        assert graph.neighbour_degree_sums.tolist() == oracles.neighbour_sums(a)
+
+
+def test_neighbour_degree_sums_are_read_only(six_node_simple):
+    sums = six_node_simple.neighbour_degree_sums
+    assert sums is six_node_simple.neighbour_degree_sums
+    with pytest.raises(ValueError, match="read-only"):
+        sums[0] = 0
+    with pytest.raises(AttributeError):
+        six_node_simple.neighbour_degree_sums = sums.copy()
 
 
 def test_self_loop_contributes_own_degree():
