@@ -124,7 +124,6 @@ class DegreeStats:
 
     node_count: int
     edge_count: int
-    degree_sequence: np.ndarray = field(repr=False)
     degree_sum: int
     degree_square_sum: int
     mean_degree: float
@@ -153,12 +152,7 @@ def _first_appearance_ids(
 
     * Narrow labels, whose span ``max - min + 1`` over both arrays is at
       most ``len(prefix) + len(labels)`` (SNAP files, whose labels are about
-      0..n-1, and every ``congen`` graph): a span-sized table, addressed by
-      ``label - min``, takes each label's first position by
-      ``np.minimum.at``, the prefix's positions first.  One sort of the
-      distinct labels' first positions ranks them, the table is overwritten
-      with the ranks, and one ``np.take`` maps every label.  The table never
-      outgrows the two arrays, and ``labels`` is read in place.
+      0..n-1, and every ``congen`` graph): see ``_first_appearance_by_table``.
     * Any other span: one ``argsort`` of both arrays, concatenated, groups
       equal labels, and each group's smallest original position is its
       first appearance, so the sort need not be stable.
@@ -201,8 +195,23 @@ def _first_appearance_by_table(
     """The table path of ``_first_appearance_ids``: ``prefix`` and ``labels``
     lie in ``low .. low + span - 1`` and ``span <= len(prefix) + len(labels)``.
     Position p < ``len(prefix)`` is ``prefix[p]``, and any later p is
-    ``labels[p - len(prefix)]``."""
+    ``labels[p - len(prefix)]``.
+
+    A prefix that is the whole span in ascending order (every ``congen``
+    graph's ``nodes``) numbers each label by its offset ``label - low``, and
+    the ordered labels are a copy of the prefix.  Otherwise a span-sized
+    table, addressed by ``label - low``, takes each label's first position
+    by ``np.minimum.at``, the prefix's positions first.  One sort of the
+    distinct labels' first positions ranks them, the table is overwritten
+    with the ranks, and one ``np.take`` maps every label.  The table never
+    outgrows the two arrays, and ``labels`` is read in place.
+    """
     start = len(prefix)
+    # Differences of 1 taken modulo 2**64 still pin the prefix to
+    # ``low, low + 1, ...``: it has ``span`` entries, all within the span.
+    if start == span and prefix[0] == low and (np.diff(prefix) == 1).all():
+        # Each offset fits in ``dtype``, so the modular difference is exact.
+        return np.subtract(labels, low, dtype=dtype, casting="unsafe"), prefix.copy()
     count = start + len(labels)
     # Holds the positions of ``labels`` first and their ids last; allocated
     # before the temporaries, so their space can go back to the system.
@@ -321,19 +330,37 @@ def simple_graph(g: Graph) -> Graph:
 
     Node ids and labels are unchanged, so nodes left without an edge stay
     as isolated nodes.  Applied to a SIMPLE graph it returns an equal one.
+    The keep mask is built over ``_row_blocks``, so beside the two graphs
+    only one byte per entry is held.
     """
-    row = np.repeat(np.arange(g.node_count, dtype=g.indices.dtype), g.degrees)
-    keep = g.indices != row
-    # A row's entries ascend, so each repeat directly follows an equal entry.
-    repeat = g.indices[1:] == g.indices[:-1]
-    repeat &= row[1:] == row[:-1]
-    keep[1:] &= ~repeat
-    del repeat
-    dropped = np.bincount(row[~keep], minlength=g.node_count)
-    del row
+    keep = np.empty(len(g.indices), dtype=bool)
+    # The blocks cover every row, so each count is set.
+    dropped = np.empty(g.node_count, dtype=np.int64)
+    for lo, hi, row in _row_blocks(g):
+        a, b = g.indptr[lo], g.indptr[hi]
+        entries, kept = g.indices[a:b], keep[a:b]
+        np.not_equal(entries, row, out=kept)
+        # A row's entries ascend, so each repeat directly follows an equal entry.
+        kept[1:] &= (entries[1:] != entries[:-1]) | (row[1:] != row[:-1])
+        dropped[lo:hi] = np.bincount(row[~kept] - lo, minlength=hi - lo)
     indptr = np.zeros(g.node_count + 1, dtype=np.int64)
     np.cumsum(g.degrees - dropped, out=indptr[1:])
     return _csr_graph(indptr, g.indices[keep], g.node_labels, SIMPLE)
+
+
+def _row_blocks(g: Graph):
+    """Cut ``g``'s rows into consecutive blocks of about ``_BATCH_BYTES // 8``
+    entries, ending on row boundaries, and yield ``(lo, hi, row)`` for each:
+    rows ``lo .. hi - 1``, and the row of each of their entries
+    ``indptr[lo] .. indptr[hi] - 1``.  The blocks cover every row, empty ones
+    included; a row longer than a block is a block of its own."""
+    size = max(1, _BATCH_BYTES // 8)
+    total = len(g.indices)
+    # The first row ending at or past each multiple of the block size: 1..n.
+    cuts = np.searchsorted(g.indptr, np.arange(size, total, size)).tolist()
+    bounds = [0, *sorted(set(cuts) - {g.node_count}), g.node_count]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield lo, hi, np.repeat(np.arange(lo, hi, dtype=g.indices.dtype), g.degrees[lo:hi])
 
 
 def _csr_graph(indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray, mode: str) -> Graph:
@@ -436,7 +463,7 @@ def load_graph(path: str | Path, mode: str = SIMPLE) -> Graph:
 
 
 def degree_stats(g: Graph, density_convention: str = TABLE1) -> DegreeStats:
-    """Degree sequence, first two moments, variance and density of ``g``.
+    """First two degree moments, variance and density of ``g``.
 
     The mean and mean-square degree are exact integer sums divided by n;
     variance is ``(n * sum(d**2) - sum(d)**2) / n**2`` from the exact integer
@@ -454,8 +481,6 @@ def degree_stats(g: Graph, density_convention: str = TABLE1) -> DegreeStats:
     n = g.node_count
     if n == 0:
         raise ValueError("degree statistics are undefined for an empty graph")
-    seq = np.sort(g.degrees)[::-1]
-    seq.setflags(write=False)
     sum_d = int(g.degrees.sum())
     sum_d2 = int(np.dot(g.degrees, g.degrees))
     mean = sum_d / n
@@ -469,7 +494,6 @@ def degree_stats(g: Graph, density_convention: str = TABLE1) -> DegreeStats:
     return DegreeStats(
         node_count=n,
         edge_count=g.edge_count,
-        degree_sequence=seq,
         degree_sum=sum_d,
         degree_square_sum=sum_d2,
         mean_degree=mean,
@@ -480,19 +504,10 @@ def degree_stats(g: Graph, density_convention: str = TABLE1) -> DegreeStats:
     )
 
 
-def _edge_entries(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The row of every CSR entry, and a mask keeping each edge once: the
-    entries above the diagonal and every second one on it (a self-loop
-    fills two slots of its row)."""
-    row = np.repeat(np.arange(g.node_count, dtype=g.indices.dtype), g.degrees)
-    keep = g.indices > row
-    keep[np.flatnonzero(g.indices == row)[::2]] = True
-    return row, keep
-
-
 #: Bytes of line text per batch of ``_write_rows``; a batch holds that many
 #: rows (at least one), and its line matrix, mask and masked copy take about
-#: this many bytes each.
+#: this many bytes each.  A block of ``_row_blocks`` holds a row id per entry
+#: for about one eighth as many entries.
 _BATCH_BYTES = 1 << 17
 
 #: ``10**k`` for k = 1..19, every power of ten below ``2**64``.
@@ -576,7 +591,9 @@ def _write_dump(g: Graph, fh) -> None:
     """Write the edge dump of ``g`` to the binary file ``fh``: each edge once
     as ``b"<u>\\t<v>\\n"`` of original labels, with u's internal index not
     greater than v's, the lines sorted bytewise.  Each label is formatted
-    once."""
+    once, and beside the graph only one int64 sort key per edge is held
+    whole; the keys are built in row blocks (``_row_blocks``) and the lines
+    written in batches (``_write_rows``)."""
     # Decimal text holds no NUL byte, so the padded texts sort like the
     # texts themselves.
     n = g.node_count
@@ -589,14 +606,20 @@ def _write_dump(g: Graph, fh) -> None:
     del by_text
     # The tab sorts below every character of an integer label, so the line
     # order is the order of (text(u), text(v)): sort the edges by the text
-    # rank of each endpoint's label instead of sorting the lines.
-    row, keep = _edge_entries(g)
-    row = text_rank[row[keep]]
-    col = text_rank[g.indices[keep]]
-    del keep, text_rank
-    key = np.multiply(row, n, dtype=np.int64)
-    key += col
-    del row, col
+    # rank of each endpoint's label instead of sorting the lines.  The keys
+    # are filled over ``_row_blocks``; each edge is kept once: the entries
+    # above the diagonal and every second one on it (a self-loop fills two
+    # adjacent slots of its row, and a block holds whole rows).
+    key = np.empty(g.edge_count, dtype=np.int64)
+    end = 0
+    for lo, hi, row in _row_blocks(g):
+        entries = g.indices[g.indptr[lo] : g.indptr[hi]]
+        keep = entries > row
+        keep[np.flatnonzero(entries == row)[::2]] = True
+        start, end = end, end + np.count_nonzero(keep)
+        np.multiply(text_rank[row[keep]], n, out=key[start:end], dtype=np.int64)
+        key[start:end] += text_rank[entries[keep]]
+    del text_rank
     key.sort()
 
     def gather(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

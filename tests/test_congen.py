@@ -268,8 +268,8 @@ class TestGeneration:
 
     def test_generate_and_dump_memory_stay_bounded(self, tmp_path):
         """Traced peaks on a 100,000-node POWERLAW graph, the same on every
-        run: ``generate`` holds at most 3.5 times its stub array, and
-        ``write_edge_dump`` at most 2.2 times the graph's arrays."""
+        run: ``generate`` holds at most 2.0 times its stub array, and
+        ``write_edge_dump`` at most 1.2 times the graph's arrays."""
 
         def traced_peak(call):
             tracemalloc.start()
@@ -282,10 +282,10 @@ class TestGeneration:
         spec = DegreeSequenceSpec.power_law(2.5, 4, 100_000, seed=1, simple_policy=ERASE)
         degrees = sample_degree_sequence(spec)
         (g, _), peak = traced_peak(lambda: generate(degrees, seed=1, simple_policy=ERASE))
-        assert peak <= 3.5 * degrees.sum() * 8
+        assert peak <= 2.0 * degrees.sum() * 8
         arrays = g.indptr.nbytes + g.indices.nbytes + g.degrees.nbytes + g.node_labels.nbytes
         _, peak = traced_peak(lambda: write_edge_dump(g, tmp_path / "edges.txt"))
-        assert peak <= 2.2 * arrays
+        assert peak <= 1.2 * arrays
 
     def test_erase_only_removes(self):
         seq = [4, 4, 3, 3, 2, 2, 1, 1]

@@ -230,6 +230,52 @@ def test_nodes_prefix_matches_concatenating_reference(mode, scale, table_calls):
             assert np.array_equal(getattr(g, name), getattr(ref, name))
 
 
+@pytest.mark.parametrize("low", [I64_MIN, -7, 0, I64_MAX - 5], ids=["min", "negative", "zero", "max"])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
+def test_ascending_span_prefix_numbers_labels_by_offset(low, dtype, mode, table_calls, monkeypatch):
+    """A prefix that is its span in order (as every ``congen`` build passes)
+    numbers each endpoint by its offset from the span's low end, at the
+    int64 extremes too, and builds the arrays of the concatenating build."""
+    monkeypatch.setattr(graph_module, "_index_dtype", lambda n: np.dtype(dtype))
+    rng = np.random.default_rng(16)
+    nodes = np.arange(6, dtype=np.int64) + np.int64(low)
+    for _ in range(20):
+        edges = nodes[rng.integers(0, 6, (int(rng.integers(0, 12)), 2))]
+        ids, ordered = _first_appearance_ids(edges.reshape(-1), nodes)
+        expected_ids, expected_order = _first_appearance_oracle(nodes.tolist() + edges.reshape(-1).tolist())
+        assert ids.dtype == dtype
+        assert (ids.tolist(), ordered.tolist()) == (expected_ids[6:], expected_order)
+        g = build_graph(edges, mode=mode, nodes=nodes)
+        ref, labels = _build_with_concatenated_prefix(edges, mode, nodes)
+        assert np.array_equal(g.node_labels, labels)
+        for name in ("indptr", "indices", "degrees"):
+            assert np.array_equal(getattr(g, name), getattr(ref, name))
+    assert table_calls and set(table_calls) == {6}
+
+
+def test_node_labels_do_not_alias_the_nodes_argument():
+    nodes = np.arange(5, dtype=np.int64)
+    g = build_graph([(0, 4), (2, 2)], mode=RAW_MULTISET, nodes=nodes)
+    nodes[:] = 99
+    assert g.node_labels.tolist() == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 1, 3], [0, 0, 2, 3]],
+    ids=["swapped_head", "swapped_middle", "gap_after_repeat", "repeat_then_gap"],
+)
+def test_prefix_out_of_order_or_with_a_gap_takes_the_table_path(prefix, table_calls):
+    """Prefixes as long as their span but not ``low, low + 1, ...``: the
+    table path maps them; the offsets would number them wrongly."""
+    labels = sorted(set(prefix))
+    ids, ordered = _first_appearance_ids(np.asarray(labels, dtype=np.int64), np.asarray(prefix, dtype=np.int64))
+    expected_ids, expected_order = _first_appearance_oracle(prefix + labels)
+    assert (ids.tolist(), ordered.tolist()) == (expected_ids[len(prefix) :], expected_order)
+    assert table_calls == [4]
+
+
 def test_raw_multiset_keeps_duplicates_and_loops():
     g = build_graph([(1, 1), (1, 2), (1, 2)], mode=RAW_MULTISET)
     assert g.edge_count == 3
@@ -462,7 +508,7 @@ class TestParsing:
 class TestDegreeStats:
     def test_six_node_values(self, six_node_simple):
         s = degree_stats(six_node_simple)
-        assert s.degree_sequence.tolist() == [4, 3, 3, 2, 2, 2]
+        assert sorted(six_node_simple.degrees.tolist(), reverse=True) == [4, 3, 3, 2, 2, 2]
         assert s.mean_degree == 8 / 3
         assert s.mean_square_degree == 23 / 3
         assert s.variance == pytest.approx(5 / 9, rel=1e-12)
@@ -524,7 +570,7 @@ class TestDegreeStats:
         g = build_graph([(1, 2), (1, 2), (3, 3)], mode=RAW_MULTISET)
         s = degree_stats(g)
         assert s.edge_count == 3
-        assert sorted(s.degree_sequence.tolist()) == [2, 2, 2]
+        assert sorted(g.degrees.tolist()) == [2, 2, 2]
 
 
 _LABEL_SETS = {
@@ -652,3 +698,45 @@ class TestEdgeDump:
                 build_graph(parse_edge_lines(once), mode=SIMPLE, nodes=range(n))
             )
             assert once == again
+
+
+#: RAW_MULTISET graphs on labels 0..n-1 whose rows stress ``_row_blocks``:
+#: (n, edges).
+_ROW_BLOCK_GRAPHS = {
+    # Rows 0-2 and 6-9 are empty.
+    "isolated_ends": (10, [(3, 4), (4, 5), (4, 3), (5, 5), (5, 4)]),
+    "edgeless": (4, []),
+    # Row 5 holds 23 entries, more than a block of every budget below the default.
+    "hub": (30, [(5, j) for j in range(6, 26)] + [(5, 6), (7, 7), (0, 1), (5, 5)]),
+    "loops": (6, [(2, 2), (2, 2), (2, 3), (3, 3), (2, 2), (4, 4), (4, 2), (3, 2), (4, 4), (0, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_BLOCK_GRAPHS))
+@pytest.mark.parametrize("budget", [1, 8, 64, None], ids=["1", "8", "64", "default"])
+def test_row_blocks_give_the_oracle_simple_graph_and_dump(name, budget, monkeypatch, tmp_path):
+    """Blocks of one row (budgets 1 and 8 give one entry per block, so
+    never more than one row with entries), of a few rows, and of all rows
+    cover every row in order; ``simple_graph`` and the edge dump built over
+    them equal the dense oracle and the row-by-row dump."""
+    if budget is not None:
+        monkeypatch.setattr(graph_module, "_BATCH_BYTES", budget)
+    n, edges = _ROW_BLOCK_GRAPHS[name]
+    raw = build_graph(edges, mode=RAW_MULTISET, nodes=range(n))
+    blocks = list(graph_module._row_blocks(raw))
+    assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
+    assert blocks[-1][1] == n
+    rows = [i for i in range(n) for _ in range(int(raw.degrees[i]))]
+    assert [i for *_, row in blocks for i in row.tolist()] == rows
+    if budget in (1, 8):
+        assert all(len(set(row.tolist())) <= 1 for *_, row in blocks)
+    for g, multiset in ((raw, True), (simple_graph(raw), False)):
+        a = oracles.adjacency_matrix(edges, n, multiset)
+        assert g.degrees.tolist() == oracles.degrees_of(a)
+        assert g.edge_count == oracles.edge_count_of(a)
+        for i in range(n):
+            row = g.indices[g.indptr[i] : g.indptr[i + 1]].tolist()
+            assert row == [j for j in range(n) for _ in range(int(a[i, j]))]
+        path = tmp_path / f"{g.mode}.txt"
+        write_edge_dump(g, path)
+        assert path.read_bytes() == "".join(_dump_from_adjacency(g)).encode()
