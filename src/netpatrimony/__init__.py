@@ -42,7 +42,7 @@ _EXPORTS = {
         (
             "nip",
             "AT_PAR CLASSES NORMALIZED OVER RAW UNDEFINED UNDER NipScores classify_performers "
-            "ip nip_class nip_network nip_node_correlated nip_node_uncorrelated nip_scores",
+            "ip nip_class nip_network nip_node_correlated nip_scores",
         ),
     )
     for name in names.split()

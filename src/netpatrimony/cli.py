@@ -204,7 +204,7 @@ def _summary(stats: graph.DegreeStats, assortativity) -> dict:
     }
 
 
-def _analyse(args) -> tuple[Path, Graph, graph.DegreeStats, metrics.KnnProfile | None]:
+def _analyse(args) -> tuple[Path, Graph, metrics.KnnProfile | None]:
     """Shared head of ``stats``/``knn``/``nip``: load the graph, take its
     degree moments and neighbour-degree profile (which ``stats`` skips on a
     graph without edges), and write summary.json and run_config.json."""
@@ -212,17 +212,17 @@ def _analyse(args) -> tuple[Path, Graph, graph.DegreeStats, metrics.KnnProfile |
     stats = degree_stats(g, density_convention=args.density_convention)
     profile = assortativity = None
     if g.edge_count or args.command != "stats":
-        profile = metrics.knn_profile(g, stats=stats)
+        profile = metrics.knn_profile(g)
         assortativity = _json_safe(profile.assortativity)
     outdir = _ensure_outdir(args)
     summary = _summary(stats, assortativity)
     _write_json(outdir / "summary.json", {**summary, "scale": args.scale, "mode": args.mode})
     _write_run_config(args, outdir, [args.input], args.mode)
-    return outdir, g, stats, profile
+    return outdir, g, profile
 
 
 def cmd_stats(args) -> int:
-    outdir, g, _, _ = _analyse(args)
+    outdir, g, _ = _analyse(args)
     _write_csv(
         outdir / "degree_dist.csv",
         ["degree", "count"],
@@ -232,7 +232,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_knn(args) -> int:
-    outdir, g, _, profile = _analyse(args)
+    outdir, g, profile = _analyse(args)
     _write_csv(
         outdir / "knn_node.csv",
         ["node_label", "degree", "knn_i"],
@@ -247,8 +247,8 @@ def cmd_knn(args) -> int:
 
 
 def cmd_nip(args) -> int:
-    outdir, g, stats, profile = _analyse(args)
-    scores = nip.nip_scores(g, scale=args.scale, tolerance=args.tolerance, stats=stats)
+    outdir, g, profile = _analyse(args)
+    scores = nip.nip_scores(g, scale=args.scale, tolerance=args.tolerance)
     # Degree-valued cells come from tables by degree.
     degree = np.arange(g.degrees.max(initial=0) + 1)
     ip = np.zeros(len(degree))

@@ -8,8 +8,8 @@ edges; three policies handle them:
 * ``MULTIGRAPH`` keeps everything (degrees preserved exactly),
 * ``ERASE`` drops self-loops and collapses parallel edges (degrees may
   shrink; isolated nodes are kept),
-* ``REJECT`` re-shuffles until the matching is already simple, failing
-  after ``max_attempts`` tries.
+* ``REJECT`` re-shuffles until the matching is already simple (its SIMPLE
+  derivation drops nothing), failing after ``max_attempts`` tries.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64); equal seeds
 give byte-identical graphs.  For ensembles, derive independent streams by
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import RAW_MULTISET, SIMPLE, Graph, _group_starts, build_graph, simple_graph
+from .graph import RAW_MULTISET, Graph, build_graph, simple_graph
 
 MULTIGRAPH = "MULTIGRAPH"
 ERASE = "ERASE"
@@ -276,16 +276,6 @@ def _match_stubs(degrees: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return stubs[: 2 * half].reshape(-1, 2)
 
 
-def _is_simple_matching(pairs: np.ndarray, n: int) -> bool:
-    a, b = pairs[:, 0], pairs[:, 1]
-    if (a == b).any():
-        return False
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    keys = lo * np.int64(n) + hi
-    return bool(_group_starts(np.sort(keys)).all())
-
-
 def generate(
     degrees: Sequence[int] | np.ndarray,
     seed: int = 0,
@@ -299,12 +289,14 @@ def generate(
     graph always contains all ``len(degrees)`` nodes (labelled 0..n-1), so
     zero-degree entries become isolated nodes.
 
-    Raises ValueError for negative degrees or an odd degree sum (or one of
-    2^63 or more), and RejectionExhaustedError when REJECT runs out of
-    attempts.
+    Raises ValueError for negative degrees, an odd degree sum (or one of
+    2^63 or more) or ``max_attempts`` below 1, and RejectionExhaustedError
+    when REJECT runs out of attempts.
     """
     if simple_policy not in SIMPLE_POLICIES:
         raise ValueError(f"unknown simple policy: {simple_policy!r}")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     deg = np.asarray(degrees, dtype=np.int64)
     if deg.size == 0:
         raise ValueError("degree sequence is empty")
@@ -315,26 +307,22 @@ def generate(
         raise ValueError(
             f"degree sum must be even to pair stubs, got {total}"
         )
-    n = len(deg)
-    nodes = np.arange(n, dtype=np.int64)
+    nodes = np.arange(len(deg), dtype=np.int64)
     rng = np.random.default_rng(seed)
     info = {"rng": RNG_NAME, "seed": int(seed), "policy": simple_policy}
 
-    if simple_policy == REJECT:
-        for attempt in range(1, max_attempts + 1):
-            pairs = _match_stubs(deg, rng)
-            if _is_simple_matching(pairs, n):
-                g = build_graph(pairs, mode=SIMPLE, nodes=nodes)
-                info["attempts"] = attempt
-                return g, info
-        raise RejectionExhaustedError(max_attempts)
-
-    info["attempts"] = 1
-    # Passed without a name here, so build_graph can free the stubs early.
-    g = build_graph(_match_stubs(deg, rng), mode=RAW_MULTISET, nodes=nodes)
-    if simple_policy == ERASE:
+    for attempt in range(1, (max_attempts if simple_policy == REJECT else 1) + 1):
+        info["attempts"] = attempt
+        # Passed without a name here, so build_graph can free the stubs early.
+        raw = build_graph(_match_stubs(deg, rng), mode=RAW_MULTISET, nodes=nodes)
+        if simple_policy == MULTIGRAPH:
+            return raw, info
         # The SIMPLE derivation is exactly the erasure step.
-        simple = simple_graph(g)
-        info["erased_edges"] = g.edge_count - simple.edge_count
-        g = simple
-    return g, info
+        g = simple_graph(raw)
+        if simple_policy == ERASE:
+            info["erased_edges"] = raw.edge_count - g.edge_count
+            return g, info
+        if g.edge_count == raw.edge_count:  # the matching was already simple
+            return g, info
+        del raw, g  # freed before the next matching is laid out
+    raise RejectionExhaustedError(max_attempts)

@@ -172,7 +172,10 @@ def _first_appearance_ids(
     ids = np.empty(count, dtype=dtype)
     order = np.argsort(labels).astype(dtype, copy=False)
     sorted_labels = labels[order]
-    starts = _group_starts(sorted_labels)
+    # Set where a sorted label differs from the one before it: each group's start.
+    starts = np.empty(count, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_labels[1:], sorted_labels[:-1], out=starts[1:])
     del sorted_labels
     first_pos = np.minimum.reduceat(order, np.flatnonzero(starts))
     is_first = np.zeros(count, dtype=bool)
@@ -237,15 +240,6 @@ def _first_appearance_by_table(
     # the default "raise" makes.
     np.take(table, offset, out=ids, mode="clip")
     return ids, ordered_labels
-
-
-def _group_starts(sorted_values: np.ndarray) -> np.ndarray:
-    """Mask of the positions where a sorted array's value differs from the one
-    before it; the first position is always set."""
-    starts = np.empty(len(sorted_values), dtype=bool)
-    starts[:1] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
-    return starts
 
 
 def _labels(values, name: str) -> np.ndarray:

@@ -30,14 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DegreeStats, Graph, degree_stats
+from .graph import DegreeStats, Graph
 
 
 @dataclass(frozen=True)
 class KnnProfile:
-    """Bundle of the neighbour-degree statistics of one graph."""
+    """Bundle of the per-node and per-class neighbour-degree statistics of
+    one graph; the network-level ``knn_global`` reads its ``DegreeStats``."""
 
-    knn_global: float
     knn_node: np.ndarray = field(repr=False)
     knn_class: dict[int, float] = field(repr=False)
     assortativity: float
@@ -115,12 +115,12 @@ def assortativity(g: Graph) -> float:
     return num / den
 
 
-def knn_profile(g: Graph, stats: DegreeStats | None = None) -> KnnProfile:
-    """Compute the full neighbour-degree bundle of ``g``."""
-    if stats is None:
-        stats = degree_stats(g)
+def knn_profile(g: Graph) -> KnnProfile:
+    """Compute the neighbour-degree bundle of ``g``.  Raises ValueError for
+    a graph without edges."""
+    if g.edge_count == 0:
+        raise ValueError("mean neighbour degree is undefined when all degrees are 0")
     return KnnProfile(
-        knn_global=knn_global(stats),
         knn_node=knn_node(g),
         knn_class=knn_class(g),
         assortativity=assortativity(g),

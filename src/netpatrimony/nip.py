@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DegreeStats, Graph, degree_stats
+from .graph import DegreeStats, Graph
 from .metrics import class_totals, knn_global
 
 NORMALIZED = "NORMALIZED"
@@ -46,11 +46,11 @@ DEFAULT_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class NipScores:
-    """Per-node and per-class patrimony scores of one graph.  Each node's
+    """Per-node and per-class patrimony scores of one graph; the
+    network-level ``nip_network`` reads its ``DegreeStats``.  Each node's
     ``classification`` is an int8 code, the index of its label in ``CLASSES``."""
 
     ip: np.ndarray = field(repr=False)
-    nip_network: float
     nip_node: np.ndarray = field(repr=False)
     nip_class: dict[int, float] = field(repr=False)
     classification: np.ndarray = field(repr=False)
@@ -67,13 +67,6 @@ def ip(g: Graph) -> np.ndarray:
 def nip_network(stats: DegreeStats) -> float:
     """Network-level score 1 + <d^2>/<d> (strictly greater than 1)."""
     return 1.0 + knn_global(stats)
-
-
-def nip_node_uncorrelated(g: Graph, stats: DegreeStats | None = None) -> np.ndarray:
-    """Per-node score under the no-correlation assumption: ip_i * nip_network."""
-    if stats is None:
-        stats = degree_stats(g)
-    return ip(g) * nip_network(stats)
 
 
 def _raw_scores(g: Graph, scale: str) -> tuple[np.ndarray, int]:
@@ -152,20 +145,14 @@ def classify_performers(
 
 
 def nip_scores(
-    g: Graph,
-    scale: str = NORMALIZED,
-    tolerance: float = DEFAULT_TOLERANCE,
-    stats: DegreeStats | None = None,
+    g: Graph, scale: str = NORMALIZED, tolerance: float = DEFAULT_TOLERANCE
 ) -> NipScores:
-    """Full patrimony bundle: shares, network score, per-node and per-class
-    scores on the requested scale, and the per-node classification."""
-    if stats is None:
-        stats = degree_stats(g)
+    """Patrimony bundle: shares, per-node and per-class scores on the
+    requested scale, and the per-node classification."""
     per_node = nip_node_correlated(g, scale=scale)
     per_class = nip_class(g, scale=scale)
     return NipScores(
         ip=ip(g),
-        nip_network=nip_network(stats),
         nip_node=per_node,
         nip_class=per_class,
         classification=classify_performers(per_node, per_class, g.degrees, tolerance=tolerance),

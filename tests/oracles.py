@@ -120,6 +120,14 @@ def nip_per_node(a, scale_raw=False):
     return [float(x) for x in nip_exact(a, scale_raw)]
 
 
+def nip_node_uncorrelated(degrees, m):
+    """The no-correlation score (d_i / 2m) * (1 + sum d^2 / sum d) of every
+    node as a Fraction: its endpoint share times the network score."""
+    deg = [int(d) for d in degrees]
+    network = 1 + Fraction(sum(d * d for d in deg), sum(deg))
+    return [Fraction(d, 2 * m) * network for d in deg]
+
+
 def edges_by_row(g):
     """Each edge of ``g`` once as (label of u, label of v), u's internal
     index not above v's, read row by row from the CSR arrays; a self-loop

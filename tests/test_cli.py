@@ -330,8 +330,7 @@ def test_analysis_csv_bytes_match_row_wise_writer(tmp_path, mode):
         edges = tmp_path / f"g{seed}.txt"
         write_random_edge_file(edges, seed)
         g = load_graph(edges, mode=mode)
-        stats = degree_stats(g)
-        profile = knn_profile(g, stats=stats)
+        profile = knn_profile(g)
         dist = {}
         for d in g.degrees.tolist():
             dist[d] = dist.get(d, 0) + 1
@@ -350,7 +349,7 @@ def test_analysis_csv_bytes_match_row_wise_writer(tmp_path, mode):
             ),
         }
         for scale in (NORMALIZED, RAW):
-            scores = nip_scores(g, scale=scale, stats=stats)
+            scores = nip_scores(g, scale=scale)
             rows = [
                 [label, d, k, share, score, scores.nip_class.get(d, float("nan")), cls, scale]
                 for label, d, k, share, score, cls in zip(

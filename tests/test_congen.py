@@ -309,6 +309,12 @@ class TestGeneration:
         assert exc.value.attempts == 5
         assert "5" in str(exc.value)
 
+    @pytest.mark.parametrize("policy", [MULTIGRAPH, ERASE, REJECT])
+    @pytest.mark.parametrize("attempts", [0, -5])
+    def test_max_attempts_below_one_rejected(self, policy, attempts):
+        with pytest.raises(ValueError, match=f"max_attempts must be at least 1, got {attempts}"):
+            generate([2, 2, 2], simple_policy=policy, max_attempts=attempts)
+
     def test_odd_sum_rejected(self):
         with pytest.raises(ValueError, match="even"):
             generate([1, 1, 1])

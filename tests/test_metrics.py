@@ -28,7 +28,7 @@ def test_six_node_values(six_node_simple):
     assert knn_global(stats) == 2.875
     # labels 1..6 map to internal 0..5 in file order
     assert knn_node(six_node_simple).tolist() == [3.0, 3.0, 3.5, 2.5, 2.5, 3.0]
-    profile = knn_profile(six_node_simple, stats)
+    profile = knn_profile(six_node_simple)
     assert profile.knn_class == {2: 3.0, 3: 3.0, 4: 2.5}
     assert profile.assortativity == -3 / 13
 
@@ -123,6 +123,8 @@ def test_knn_global_requires_edges():
         knn_global(degree_stats(g))
     with pytest.raises(ValueError):
         assortativity(g)
+    with pytest.raises(ValueError, match="undefined when all degrees are 0"):
+        knn_profile(g)
 
 
 def test_relabelling_permutes_but_preserves_values(six_node_simple):
