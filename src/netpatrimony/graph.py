@@ -145,101 +145,85 @@ def _first_appearance_ids(
     """Map 1-D integer labels to 0..n-1 in order of first appearance, the
     labels of ``prefix`` coming before all of ``labels``.
 
-    Returns ``(ids, ordered_labels)`` where ``ids[i]`` is the internal index
-    of ``labels[i]`` and ``ordered_labels[k]`` is the original label of
-    internal index k.  ``ids`` has ``_index_dtype(len(prefix) + len(labels))``.
-    Two paths give the same result:
-
-    * Narrow labels, whose span ``max - min + 1`` over both arrays is at
-      most ``len(prefix) + len(labels)`` (SNAP files, whose labels are about
-      0..n-1, and every ``congen`` graph): see ``_first_appearance_by_table``.
-    * Any other span: one ``argsort`` of both arrays, concatenated, groups
-      equal labels, and each group's smallest original position is its
-      first appearance, so the sort need not be stable.
-    """
-    count = len(prefix) + len(labels)
-    dtype = _index_dtype(count)
-    present = [part for part in (prefix, labels) if len(part)]
-    if present:
-        low = min(part.min() for part in present)
-        # Python ints: the int64 difference of the int64 extremes overflows.
-        span = int(max(part.max() for part in present)) - int(low) + 1
-        if span <= count:
-            return _first_appearance_by_table(prefix, labels, low, span, dtype)
-    if len(prefix):
-        labels = np.concatenate([prefix, labels])
-    # Allocated first, so the temporaries freed above it can go back to the system.
-    ids = np.empty(count, dtype=dtype)
-    order = np.argsort(labels).astype(dtype, copy=False)
-    sorted_labels = labels[order]
-    # Set where a sorted label differs from the one before it: each group's start.
-    starts = np.empty(count, dtype=bool)
-    starts[:1] = True
-    np.not_equal(sorted_labels[1:], sorted_labels[:-1], out=starts[1:])
-    del sorted_labels
-    first_pos = np.minimum.reduceat(order, np.flatnonzero(starts))
-    is_first = np.zeros(count, dtype=bool)
-    is_first[first_pos] = True
-    ordered_labels = labels[is_first]
-    rank = np.cumsum(is_first, dtype=dtype)
-    del is_first
-    rank = rank[first_pos] - 1
-    del first_pos
-    group = np.cumsum(starts, dtype=dtype)
-    del starts
-    group -= 1
-    ids[order] = rank[group]
-    return ids[len(prefix) :], ordered_labels
-
-
-def _first_appearance_by_table(
-    prefix: np.ndarray, labels: np.ndarray, low: np.integer, span: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """The table path of ``_first_appearance_ids``: ``prefix`` and ``labels``
-    lie in ``low .. low + span - 1`` and ``span <= len(prefix) + len(labels)``.
-    Position p < ``len(prefix)`` is ``prefix[p]``, and any later p is
-    ``labels[p - len(prefix)]``.
-
-    A prefix that is the whole span in ascending order (every ``congen``
-    graph's ``nodes``) numbers each label by its offset ``label - low``, and
-    the ordered labels are a copy of the prefix.  Otherwise a span-sized
-    table, addressed by ``label - low``, takes each label's first position
-    by ``np.minimum.at``, the prefix's positions first.  One sort of the
-    distinct labels' first positions ranks them, the table is overwritten
-    with the ranks, and one ``np.take`` maps every label.  The table never
-    outgrows the two arrays, and ``labels`` is read in place.
+    Returns ``(ids, ordered_labels)``: ``ids[i]`` is the internal index of
+    ``labels[i]``, of dtype ``_index_dtype(len(prefix) + len(labels))``, and
+    ``ordered_labels[k]`` is the original label of internal index k.  A prefix
+    that is the whole span ``max - min + 1`` of both arrays in ascending order
+    (every ``congen`` graph's ``nodes``) numbers each label by its offset from
+    the minimum.  Any other prefix is joined in front of the labels, grouped
+    by a span-sized table when the span is at most their count (SNAP files:
+    labels about 0..n-1), else by one ``argsort``.
     """
     start = len(prefix)
+    count = start + len(labels)
+    dtype = _index_dtype(count)
+    if not count:
+        return np.empty(0, dtype=dtype), labels.copy()
+    low = min(part.min() for part in (prefix, labels) if len(part))
+    # Python ints: the int64 difference of the int64 extremes overflows.
+    span = int(max(part.max() for part in (prefix, labels) if len(part))) - int(low) + 1
     # Differences of 1 taken modulo 2**64 still pin the prefix to
     # ``low, low + 1, ...``: it has ``span`` entries, all within the span.
     if start == span and prefix[0] == low and (np.diff(prefix) == 1).all():
         # Each offset fits in ``dtype``, so the modular difference is exact.
         return np.subtract(labels, low, dtype=dtype, casting="unsafe"), prefix.copy()
-    count = start + len(labels)
-    # Holds the positions of ``labels`` first and their ids last; allocated
-    # before the temporaries, so their space can go back to the system.
-    ids = np.arange(start, count, dtype=dtype)
+    if start:
+        labels = np.concatenate([prefix, labels])
+    if span <= count:
+        ids, ordered_labels = _first_appearance_by_table(labels, low, span, dtype)
+    else:
+        ids, ordered_labels = _first_appearance_by_sort(labels, dtype)
+    return ids[start:], ordered_labels
+
+
+def _first_appearance_by_table(
+    labels: np.ndarray, low: np.integer, span: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """The table grouping of ``_first_appearance_ids``, for labels in ``low ..
+    low + span - 1`` with ``span <= len(labels)``: a table indexed by each
+    label's offset takes its first position by ``np.minimum.at``, then its id."""
+    count = len(labels)
+    # Holds the positions first and the ids last; allocated before the
+    # temporaries, so their space can go back to the system.
+    ids = np.arange(count, dtype=dtype)
     # A copy even when ``low`` is 0: freeing it raises glibc's mmap
     # threshold to its size, so later arrays up to that size reuse freed
     # heap instead of faulting in fresh mappings.
     offset = labels - low
     # A label's entry holds its first position; ``count`` marks an absent one.
     table = np.full(span, count, dtype=dtype)
-    # Every prefix position is below every position of ``labels``.
-    np.minimum.at(table, prefix - low, np.arange(start, dtype=dtype))
     np.minimum.at(table, offset, ids)
-    first_pos = table[table < count]
-    first_pos.sort()
-    split = np.searchsorted(first_pos, start)
-    first_pos[split:] -= start
-    ordered_labels = labels[first_pos[split:]]
-    if split:
-        ordered_labels = np.concatenate([prefix[first_pos[:split]], ordered_labels])
-    table[ordered_labels - low] = np.arange(len(first_pos), dtype=dtype)
+    seen = table < count
+    table[seen], ordered_labels = _rank_first_positions(table[seen], labels)
     # Every offset is in range; "clip" also spares the copy of ``out`` that
     # the default "raise" makes.
     np.take(table, offset, out=ids, mode="clip")
     return ids, ordered_labels
+
+
+def _first_appearance_by_sort(labels: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The argsort grouping: each group's least position is its first, so any sort will do."""
+    # Allocated first, so the temporaries freed above it can go back to the system.
+    ids = np.empty(len(labels), dtype=dtype)
+    order = np.argsort(labels).astype(dtype, copy=False)
+    sorted_labels = labels[order]
+    # Set where a sorted label differs from the one before it: each group's start.
+    starts = np.empty(len(labels), dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_labels[1:], sorted_labels[:-1], out=starts[1:])
+    del sorted_labels
+    starts = np.flatnonzero(starts)
+    rank, ordered_labels = _rank_first_positions(np.minimum.reduceat(order, starts), labels)
+    ids[order] = np.repeat(rank, np.diff(starts, append=len(labels)))
+    return ids, ordered_labels
+
+
+def _rank_first_positions(first: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each label's id, the rank of its first position ``first``, and the labels in id order."""
+    by_position = np.argsort(first)  # distinct values: any sort will do
+    rank = np.empty_like(first)
+    rank[by_position] = np.arange(len(first), dtype=first.dtype)
+    return rank, labels[first[by_position]]
 
 
 def _labels(values, name: str) -> np.ndarray:

@@ -55,33 +55,76 @@ def test_first_appearance_ids_match_dict_oracle(labels):
     assert (ids.tolist(), ordered.tolist()) == _first_appearance_oracle(labels)
 
 
-def test_first_appearance_ids_match_dict_oracle_on_random_labels():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        pool = np.concatenate(
-            [
-                rng.integers(-50, 50, 8),
-                rng.integers(I64_MIN, I64_MAX, 4),
-                [I64_MIN, I64_MAX],
-            ]
-        )
-        labels = rng.choice(pool, int(rng.integers(1, 40))).tolist()
-        ids, ordered = _first_appearance_ids(np.asarray(labels, dtype=np.int64))
-        assert (ids.tolist(), ordered.tolist()) == _first_appearance_oracle(labels)
+def _spy(monkeypatch, name, record):
+    """Replaces ``graph.<name>`` by a wrapper that appends ``record(*args)``
+    to the returned list on each call."""
+    calls = []
+    inner = getattr(graph_module, name)
+
+    def spy(*args):
+        calls.append(record(*args))
+        return inner(*args)
+
+    monkeypatch.setattr(graph_module, name, spy)
+    return calls
 
 
 @pytest.fixture
 def table_calls(monkeypatch):
     """Records the span of each call of ``_first_appearance_ids``'s table path."""
-    calls = []
-    table = graph_module._first_appearance_by_table
+    return _spy(monkeypatch, "_first_appearance_by_table", lambda labels, low, span, dtype: span)
 
-    def spy(prefix, labels, low, span, dtype):
-        calls.append(span)
-        return table(prefix, labels, low, span, dtype)
 
-    monkeypatch.setattr(graph_module, "_first_appearance_by_table", spy)
-    return calls
+@pytest.fixture
+def sort_calls(monkeypatch):
+    """Records the label count of each call of ``_first_appearance_ids``'s argsort path."""
+    return _spy(monkeypatch, "_first_appearance_by_sort", lambda labels, dtype: len(labels))
+
+
+def test_first_appearance_ids_match_dict_oracle_on_random_labels(table_calls, sort_calls):
+    """Random labels after one of five prefixes: none (with wide labels),
+    an ascending run over the whole span, an ascending run short of the
+    span, a shuffled prefix with repeats and gaps, and one holding the int64
+    extremes.  Runs lie at either int64 end or near zero.  The result is
+    the dict relabelling of the joined list split after the prefix, and the
+    offset shortcut, the table path and the argsort path each run."""
+    rng = np.random.default_rng(11)
+    paths = set()
+    for trial in range(500):
+        kind, size = trial % 5, int(rng.integers(1, 30))
+        width = size + int(rng.integers(1, 30))
+        low = (I64_MIN, I64_MAX - width + 1, int(rng.integers(-100, 100)))[trial % 3]
+        window = np.arange(width, dtype=np.int64) + low
+        run = window[:size] if trial % 2 else window[-size:]
+        prefix, pool = run, window
+        if kind == 0:
+            prefix = run[:0]
+            pool = np.concatenate(
+                [rng.integers(-50, 50, 8), rng.integers(I64_MIN, I64_MAX, 4), [I64_MIN, I64_MAX]]
+            )
+        elif kind == 1:
+            pool = run
+        elif kind == 3:
+            prefix = rng.choice(window[::2], size + 1)
+        elif kind == 4:
+            prefix = rng.permutation(np.concatenate([[I64_MIN, I64_MAX], rng.choice(window, size)]))
+        labels = rng.choice(pool, int(rng.integers(kind == 0, 40))).tolist()
+        if kind == 2:
+            labels.append(int(rng.choice(np.setdiff1d(window, run))))
+        prefix = prefix.tolist()
+        before = len(table_calls), len(sort_calls)
+        ids, ordered = _first_appearance_ids(
+            np.asarray(labels, dtype=np.int64), np.asarray(prefix, dtype=np.int64)
+        )
+        ran = (len(table_calls) - before[0], len(sort_calls) - before[1])
+        path = {(0, 0): "offset", (1, 0): "table", (0, 1): "sort"}[ran]
+        assert (path == "offset") == (kind == 1)
+        assert path == "sort" or kind != 4
+        paths.add(path)
+        expected_ids, expected_order = _first_appearance_oracle(prefix + labels)
+        assert ids.dtype == _index_dtype(len(prefix) + len(labels))
+        assert (ids.tolist(), ordered.tolist()) == (expected_ids[len(prefix) :], expected_order)
+    assert paths == {"offset", "table", "sort"}
 
 
 @pytest.mark.parametrize(
@@ -176,18 +219,24 @@ def test_nodes_only_graph_keeps_first_appearance_order(mode):
         ([0, 5, 5], [1, 2], False),  # span 6
         ([-7, -7, -3], [-5, -6, -4, -3], True),  # span 5 <= 7
         ([2, 9], [], False),  # span 8 > 2
-        ([2, 3], [], True),
+        ([3, 2], [], True),
+        ([2, 3], [], None),  # the whole span in order: the offset shortcut
     ],
 )
-def test_table_path_span_bound_counts_the_prefix(prefix, labels, table_path, table_calls, monkeypatch):
+def test_table_path_span_bound_counts_the_prefix(
+    prefix, labels, table_path, table_calls, sort_calls, monkeypatch
+):
     """The span is taken over the prefix and the endpoints, and bounded by
-    their combined length, which also sizes the ids' dtype."""
+    their combined length, which also sizes the ids' dtype.  ``table_path``
+    False is the argsort path, and None neither path."""
     sizes = []
     monkeypatch.setattr(graph_module, "_index_dtype", lambda n: sizes.append(n) or np.dtype(np.int64))
     ids, ordered = _first_appearance_ids(
         np.asarray(labels, dtype=np.int64), np.asarray(prefix, dtype=np.int64)
     )
-    assert table_calls == ([max(prefix + labels) - min(prefix + labels) + 1] if table_path else [])
+    span = max(prefix + labels) - min(prefix + labels) + 1
+    assert table_calls == ([span] if table_path else [])
+    assert sort_calls == ([len(prefix) + len(labels)] if table_path is False else [])
     assert sizes == [len(prefix) + len(labels)]
     expected_ids, expected_order = _first_appearance_oracle(prefix + labels)
     assert (ids.tolist(), ordered.tolist()) == (expected_ids[len(prefix) :], expected_order)
@@ -233,25 +282,29 @@ def test_nodes_prefix_matches_concatenating_reference(mode, scale, table_calls):
 @pytest.mark.parametrize("low", [I64_MIN, -7, 0, I64_MAX - 5], ids=["min", "negative", "zero", "max"])
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 @pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
-def test_ascending_span_prefix_numbers_labels_by_offset(low, dtype, mode, table_calls, monkeypatch):
+def test_ascending_span_prefix_numbers_labels_by_offset(
+    low, dtype, mode, table_calls, sort_calls, monkeypatch
+):
     """A prefix that is its span in order (as every ``congen`` build passes)
-    numbers each endpoint by its offset from the span's low end, at the
-    int64 extremes too, and builds the arrays of the concatenating build."""
+    numbers each endpoint by its offset from the span's low end, without
+    the table or the argsort, at the int64 extremes too, and builds the
+    arrays of the concatenating build."""
     monkeypatch.setattr(graph_module, "_index_dtype", lambda n: np.dtype(dtype))
     rng = np.random.default_rng(16)
     nodes = np.arange(6, dtype=np.int64) + np.int64(low)
     for _ in range(20):
         edges = nodes[rng.integers(0, 6, (int(rng.integers(0, 12)), 2))]
         ids, ordered = _first_appearance_ids(edges.reshape(-1), nodes)
+        g = build_graph(edges, mode=mode, nodes=nodes)
+        assert table_calls == sort_calls == []
         expected_ids, expected_order = _first_appearance_oracle(nodes.tolist() + edges.reshape(-1).tolist())
         assert ids.dtype == dtype
         assert (ids.tolist(), ordered.tolist()) == (expected_ids[6:], expected_order)
-        g = build_graph(edges, mode=mode, nodes=nodes)
         ref, labels = _build_with_concatenated_prefix(edges, mode, nodes)
+        table_calls.clear()
         assert np.array_equal(g.node_labels, labels)
         for name in ("indptr", "indices", "degrees"):
             assert np.array_equal(getattr(g, name), getattr(ref, name))
-    assert table_calls and set(table_calls) == {6}
 
 
 def test_node_labels_do_not_alias_the_nodes_argument():
