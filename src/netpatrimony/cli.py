@@ -251,8 +251,6 @@ def cmd_nip(args) -> int:
     scores = nip.nip_scores(g, scale=args.scale, tolerance=args.tolerance)
     # Degree-valued cells come from tables by degree.
     degree = np.arange(g.degrees.max(initial=0) + 1)
-    ip = np.zeros(len(degree))
-    ip[g.degrees] = scores.ip
     _write_csv(
         outdir / "nip_node.csv",
         ["node_label", "degree", "knn_i", "ip", "nip", "class_nip", "classification", "scale"],
@@ -260,7 +258,7 @@ def cmd_nip(args) -> int:
             g.node_labels,
             (degree, g.degrees),
             profile.knn_node,
-            (ip, g.degrees),
+            (degree / (2 * g.edge_count), g.degrees),
             scores.nip_node,
             (nip.node_class_means(scores.nip_class, degree), g.degrees),
             (list(nip.CLASSES), scores.classification),

@@ -98,11 +98,6 @@ class Graph:
     node_labels: np.ndarray = field(repr=False)
     mode: str
 
-    def __repr__(self) -> str:  # keep array dumps out of test failures
-        return (
-            f"Graph(n={self.node_count}, m={self.edge_count}, mode={self.mode})"
-        )
-
     @functools.cached_property
     def neighbour_degree_sums(self) -> np.ndarray:
         """Sum S_i of the neighbours' degrees of every node, as exact int64
@@ -559,10 +554,7 @@ def _write_rows(fh, widths: list[int], rows: int, gather, sep: bytes, end: bytes
 def _text_order(text: np.ndarray) -> np.ndarray:
     """The row order of a uint8 matrix of ``8 * k`` columns sorted bytewise:
     its rows read as k big-endian uint64 words compare like their bytes."""
-    words = text.view(">u8")
-    if words.shape[1] == 1:
-        return np.argsort(words[:, 0])
-    return np.lexsort(words.T[::-1])
+    return np.lexsort(text.view(">u8").T[::-1])
 
 
 def _write_dump(g: Graph, fh) -> None:

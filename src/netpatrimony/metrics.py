@@ -64,23 +64,20 @@ def knn_node(g: Graph) -> np.ndarray:
     return out
 
 
-def class_totals(degrees: np.ndarray, values: np.ndarray) -> list[tuple[int, int, int]]:
+def class_totals(g: Graph) -> list[tuple[int, int, int]]:
     """``(d, N_d, T_d)`` for each occupied degree class d >= 1 in ascending
-    order: its node count and the exact total of the integer ``values`` over
-    it, as Python ints (whose quotients are correctly rounded)."""
-    if values.dtype.kind not in "iu":
-        raise TypeError(f"class totals need integer values, got {values.dtype}")
-    counts = np.bincount(degrees)
+    order: its node count and the exact total of S_i over it, as Python ints
+    (whose quotients are correctly rounded)."""
+    counts = np.bincount(g.degrees)
     totals = np.zeros(len(counts), dtype=np.int64)
-    np.add.at(totals, degrees, values)
+    np.add.at(totals, g.degrees, g.neighbour_degree_sums)
     return [(int(d), int(counts[d]), int(totals[d])) for d in np.flatnonzero(counts) if d >= 1]
 
 
 def knn_class(g: Graph) -> dict[int, float]:
     """k_nn(d) = T_d / (d * N_d) of each occupied degree class d >= 1 by
     ascending degree."""
-    totals = class_totals(g.degrees, g.neighbour_degree_sums)
-    return {d: total / (d * count) for d, count, total in totals}
+    return {d: total / (d * count) for d, count, total in class_totals(g)}
 
 
 def degree_histogram(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +101,7 @@ def assortativity(g: Graph) -> float:
     pair_count = 2 * g.edge_count  # == sum of degrees
     # Over the 2m ordered pairs, summed by degree class: sum of x is
     # sum d_i^2, sum of x^2 is sum d_i^3 and sum of x*y is sum d_i * S_i.
-    classes = class_totals(g.degrees, g.neighbour_degree_sums)
+    classes = class_totals(g)
     s_x = sum(count * d**2 for d, count, _ in classes)
     s_xx = sum(count * d**3 for d, count, _ in classes)
     s_xy = sum(d * total for d, _, total in classes)

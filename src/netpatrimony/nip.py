@@ -50,11 +50,9 @@ class NipScores:
     network-level ``nip_network`` reads its ``DegreeStats``.  Each node's
     ``classification`` is an int8 code, the index of its label in ``CLASSES``."""
 
-    ip: np.ndarray = field(repr=False)
     nip_node: np.ndarray = field(repr=False)
     nip_class: dict[int, float] = field(repr=False)
     classification: np.ndarray = field(repr=False)
-    scale: str
 
 
 def ip(g: Graph) -> np.ndarray:
@@ -69,28 +67,28 @@ def nip_network(stats: DegreeStats) -> float:
     return 1.0 + knn_global(stats)
 
 
-def _raw_scores(g: Graph, scale: str) -> tuple[np.ndarray, int]:
-    """d_i + S_i of every node, and q: 2m on the NORMALIZED scale, 1 on RAW.
-    ValueError for an unknown scale or a graph without edges."""
+def _divisor(g: Graph, scale: str) -> int:
+    """q: 2m on the NORMALIZED scale, 1 on RAW.  ValueError for an unknown
+    scale or a graph without edges."""
     if scale not in SCALES:
         raise ValueError(f"unknown scale: {scale!r} (expected NORMALIZED or RAW)")
     if g.edge_count == 0:
         raise ValueError("nip is undefined for a graph with no edges")
-    return g.degrees + g.neighbour_degree_sums, 2 * g.edge_count if scale == NORMALIZED else 1
+    return 2 * g.edge_count if scale == NORMALIZED else 1
 
 
 def nip_node_correlated(g: Graph, scale: str = NORMALIZED) -> np.ndarray:
     """Per-node score (d_i + S_i) / q from the neighbour-degree sums S_i;
     isolated nodes score 0."""
-    raw, q = _raw_scores(g, scale)
-    return raw / q
+    q = _divisor(g, scale)
+    return (g.degrees + g.neighbour_degree_sums) / q
 
 
 def nip_class(g: Graph, scale: str = NORMALIZED) -> dict[int, float]:
     """Mean per-node score of each occupied degree class d >= 1, by ascending
-    degree: the class total of d_i + S_i over q * N_d."""
-    raw, q = _raw_scores(g, scale)
-    return {d: total / (q * count) for d, count, total in class_totals(g.degrees, raw)}
+    degree: (d * N_d + T_d) / (q * N_d) from the k_nn class totals."""
+    q = _divisor(g, scale)
+    return {d: (d * count + total) / (q * count) for d, count, total in class_totals(g)}
 
 
 def node_class_means(class_means: dict[int, float], degrees: np.ndarray) -> np.ndarray:
@@ -147,14 +145,12 @@ def classify_performers(
 def nip_scores(
     g: Graph, scale: str = NORMALIZED, tolerance: float = DEFAULT_TOLERANCE
 ) -> NipScores:
-    """Patrimony bundle: shares, per-node and per-class scores on the
-    requested scale, and the per-node classification."""
+    """Patrimony bundle: per-node and per-class scores on the requested
+    scale, and the per-node classification."""
     per_node = nip_node_correlated(g, scale=scale)
     per_class = nip_class(g, scale=scale)
     return NipScores(
-        ip=ip(g),
         nip_node=per_node,
         nip_class=per_class,
         classification=classify_performers(per_node, per_class, g.degrees, tolerance=tolerance),
-        scale=scale,
     )

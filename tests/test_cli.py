@@ -23,6 +23,7 @@ from netpatrimony import (
     SIMPLE,
     assortativity,
     degree_stats,
+    ip,
     knn_profile,
     load_graph,
     nip_scores,
@@ -356,7 +357,7 @@ def test_analysis_csv_bytes_match_row_wise_writer(tmp_path, mode):
                     g.node_labels.tolist(),
                     g.degrees.tolist(),
                     profile.knn_node.tolist(),
-                    scores.ip.tolist(),
+                    ip(g).tolist(),
                     scores.nip_node.tolist(),
                     np.asarray(CLASSES)[scores.classification].tolist(),
                 )

@@ -72,10 +72,25 @@ def test_isolated_node_knn_is_nan():
     assert knn_class(g) == {1: 1.0}  # degree-0 class excluded
 
 
-def test_knn_class_refuses_float_values(six_node_simple):
-    # Class totals are exact only over integers; knn_i values are not sums.
-    with pytest.raises(TypeError, match="integer"):
-        metrics.class_totals(six_node_simple.degrees, knn_node(six_node_simple))
+def test_class_totals_match_oracle_and_sum_rules():
+    # Node 4 has only a loop and node 5 no edge: the RAW graph has one
+    # isolated node, its SIMPLE derive two.
+    edges = [(0, 1), (0, 1), (1, 2), (2, 2), (2, 3), (3, 0), (1, 3), (4, 4), (0, 0)]
+    raw = build_graph(edges, mode=RAW_MULTISET, nodes=range(6))
+    for g, multiset, edged in ((raw, True, 5), (simple_graph(raw), False, 4)):
+        a = oracles.adjacency_matrix(edges, 6, multiset)
+        degrees, sums = oracles.degrees_of(a), oracles.neighbour_sums(a)
+        expected = {}
+        for d, s in zip(degrees, sums):
+            if d:
+                count, total = expected.get(d, (0, 0))
+                expected[d] = (count + 1, total + s)
+        totals = metrics.class_totals(g)
+        assert [(d, *expected[d]) for d in sorted(expected)] == totals
+        assert all(d >= 1 for d, _, _ in totals)
+        assert sum(count for _, count, _ in totals) == sum(map(bool, degrees)) == edged
+        assert sum(d * count for d, count, _ in totals) == 2 * g.edge_count
+        assert sum(total for _, _, total in totals) == degree_stats(g).degree_square_sum
 
 
 def test_one_row_sum_pass_per_graph(monkeypatch):

@@ -47,7 +47,6 @@ def test_six_node_raw_scale(six_node_simple):
     raw = nip_scores(six_node_simple, scale=RAW)
     assert raw.nip_node.tolist() == [12.0, 12.0, 9.0, 14.0, 7.0, 8.0]
     assert raw.nip_class == {2: 8.0, 3: 12.0, 4: 14.0}
-    assert raw.scale == RAW
 
 
 def test_shares_sum_to_one(six_node_simple, path5, star5):
@@ -132,7 +131,7 @@ def test_isolated_node_is_undefined_with_zero_score():
     g = build_graph([(1, 2), (2, 3)], nodes=[1, 2, 3, 4])
     scores = nip_scores(g)
     assert scores.nip_node[3] == 0.0
-    assert scores.ip[3] == 0.0
+    assert ip(g)[3] == 0.0
     assert labels(scores.classification)[3] == UNDEFINED
     assert 0 not in scores.nip_class
 
