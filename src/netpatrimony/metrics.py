@@ -36,11 +36,11 @@ from .graph import DegreeStats, Graph
 @dataclass(frozen=True)
 class KnnProfile:
     """Bundle of the per-node and per-class neighbour-degree statistics of
-    one graph; the network-level ``knn_global`` reads its ``DegreeStats``."""
+    one graph; the network-level ``knn_global`` reads its ``DegreeStats``
+    and ``assortativity`` its graph."""
 
     knn_node: np.ndarray = field(repr=False)
     knn_class: dict[int, float] = field(repr=False)
-    assortativity: float
 
 
 def knn_global(stats: DegreeStats) -> float:
@@ -80,13 +80,6 @@ def knn_class(g: Graph) -> dict[int, float]:
     return {d: total / (d * count) for d, count, total in class_totals(g)}
 
 
-def degree_histogram(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The occurring degrees in ascending order and the node count of each."""
-    counts = np.bincount(degrees)
-    occurring = np.flatnonzero(counts)
-    return occurring, counts[occurring]
-
-
 def assortativity(g: Graph) -> float:
     """Pearson correlation of endpoint degrees over ordered edge endpoints.
 
@@ -117,8 +110,4 @@ def knn_profile(g: Graph) -> KnnProfile:
     a graph without edges."""
     if g.edge_count == 0:
         raise ValueError("mean neighbour degree is undefined when all degrees are 0")
-    return KnnProfile(
-        knn_node=knn_node(g),
-        knn_class=knn_class(g),
-        assortativity=assortativity(g),
-    )
+    return KnnProfile(knn_node=knn_node(g), knn_class=knn_class(g))

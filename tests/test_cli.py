@@ -212,6 +212,55 @@ def test_stats_on_edgeless_graph_writes_moments(tmp_path, capsys):
         assert not other.exists()
 
 
+def test_stats_takes_no_neighbour_degree_profile(tmp_path, monkeypatch):
+    """``stats`` writes no per-node or per-class knn, so it computes none;
+    ``stats`` and ``nip`` each take assortativity once, from the graph."""
+    calls = {}
+
+    def spy(name, func):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return func(*args, **kwargs)
+
+        return counted
+
+    for name in ("knn_profile", "knn_node", "knn_class", "assortativity"):
+        monkeypatch.setattr(cli.metrics, name, spy(name, getattr(cli.metrics, name)))
+    assert main(["stats", str(SIX_NODE_FILE), "--output-dir", str(tmp_path / "stats")]) == 0
+    assert calls == {"assortativity": 1}
+    calls.clear()
+    assert main(["nip", str(SIX_NODE_FILE), "--output-dir", str(tmp_path / "nip")]) == 0
+    assert calls["assortativity"] == 1
+
+
+@pytest.mark.parametrize(
+    "text, mode, status",
+    [
+        (SIX_NODE_FILE.read_text(), RAW_MULTISET, "NO_REFERENCE"),
+        (SIX_NODE_FILE.read_text(), SIMPLE, "NO_REFERENCE"),
+        ("1 2\n2 3\n3 4\n4 1\n", SIMPLE, "NO_REFERENCE"),  # regular: NaN assortativity
+        ("1 1\n2 2\n", SIMPLE, "NO_EDGES"),
+    ],
+    ids=["six_node-raw", "six_node-simple", "ring4", "loops-simple"],
+)
+def test_summary_and_report_row_agree(tmp_path, text, mode, status):
+    """``stats``'s summary.json and the (file, mode) row of ``report`` hold
+    the same network-level numbers, a JSON null matching an empty cell."""
+    edges = tmp_path / "net.txt"
+    edges.write_text(text)
+    argv = ["--mode", mode, "--output-dir"]
+    assert main(["stats", str(edges), *argv, str(tmp_path / "stats")]) == 0
+    assert main(["report", str(edges), *argv, str(tmp_path / "report")]) == 0
+    summary = read_json(tmp_path / "stats" / "summary.json")
+    header, row = read_csv(tmp_path / "report" / "report.csv")
+    cells = dict(zip(header, row))
+    assert (cells["mode"], cells["status"]) == (mode, status)
+    for key in cli.REPORT_METRICS:
+        value = summary[key]
+        expected = "" if value is None else format(value, ".6g") if isinstance(value, float) else str(value)
+        assert cells[key] == expected, key
+
+
 @pytest.mark.parametrize("value", ["-0.5", "nan", "-inf"])
 @pytest.mark.parametrize("command", ["stats", "knn", "nip", "congen", "report"])
 def test_bad_tolerance_is_usage_error(tmp_path, capsys, command, value):

@@ -24,7 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from netpatrimony import RAW_MULTISET, SIMPLE, build_graph, knn_profile  # noqa: E402
+from netpatrimony import RAW_MULTISET, SIMPLE, assortativity, build_graph, knn_profile  # noqa: E402
 from netpatrimony.congen import is_graphical  # noqa: E402
 
 # Few examples and a fixed example order keep the tier-1 run short and
@@ -87,7 +87,7 @@ def test_assortativity_matches_degree_assortativity_coefficient(graphs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # 0/0 on regular graphs
         expected = nx.degree_assortativity_coefficient(reference)
-    got = knn_profile(g).assortativity
+    got = assortativity(g)
     if math.isnan(expected):
         assert math.isnan(got)
     else:
@@ -151,7 +151,7 @@ def test_multiset_knn_class_matches_oracle(graphs):
 def test_multiset_assortativity_matches_oracle(graphs):
     g, a = graphs
     expected = oracles.pearson(oracles.endpoint_degree_pairs(a))
-    got = knn_profile(g).assortativity
+    got = assortativity(g)
     if math.isnan(expected):
         assert math.isnan(got)
     else:

@@ -30,20 +30,20 @@ def test_six_node_values(six_node_simple):
     assert knn_node(six_node_simple).tolist() == [3.0, 3.0, 3.5, 2.5, 2.5, 3.0]
     profile = knn_profile(six_node_simple)
     assert profile.knn_class == {2: 3.0, 3: 3.0, 4: 2.5}
-    assert profile.assortativity == -3 / 13
+    assert assortativity(six_node_simple) == -3 / 13
 
 
 def test_modes_agree_when_input_is_already_simple(six_node_simple, six_node_raw):
     simple = knn_profile(six_node_simple)
     raw = knn_profile(six_node_raw)
     assert np.array_equal(simple.knn_node, raw.knn_node)
-    assert simple.assortativity == raw.assortativity
+    assert assortativity(six_node_simple) == assortativity(six_node_raw)
     assert simple.knn_class == raw.knn_class
 
 
 def test_star_is_maximally_disassortative(star5):
     profile = knn_profile(star5)
-    assert profile.assortativity == -1.0
+    assert assortativity(star5) == -1.0
     assert profile.knn_node.tolist() == [1.0, 4.0, 4.0, 4.0, 4.0]
     assert profile.knn_class == {1: 4.0, 4: 1.0}
 
