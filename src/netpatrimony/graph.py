@@ -103,9 +103,19 @@ class Graph:
         """Sum S_i of the neighbours' degrees of every node, as exact int64
         and read-only: one row-sum pass on first access, kept with the graph,
         so every measure built on S_i shares it."""
-        sums = _parallel.row_sums(self.indptr, self.indices, self.degrees)
+        sums = _parallel.row_sums(self.indptr, self.indices, self.degrees, _row_bounds(self.indptr))
         sums.setflags(write=False)
         return sums
+
+    @functools.cached_property
+    def class_totals(self) -> tuple[tuple[int, int, int], ...]:
+        """``(d, N_d, T_d)`` for each occupied degree class d >= 1 in
+        ascending order: its node count and exact S_i total, as Python ints
+        (whose quotients are correctly rounded); taken once, like S_i."""
+        counts = np.bincount(self.degrees)
+        totals = np.zeros(len(counts), dtype=np.int64)
+        np.add.at(totals, self.degrees, self.neighbour_degree_sums)
+        return tuple((int(d), int(counts[d]), int(totals[d])) for d in np.flatnonzero(counts) if d)
 
 
 @dataclass(frozen=True)
@@ -178,21 +188,24 @@ def _first_appearance_by_table(
     low + span - 1`` with ``span <= len(labels)``: a table indexed by each
     label's offset takes its first position by ``np.minimum.at``, then its id."""
     count = len(labels)
-    # Holds the positions first and the ids last; allocated before the
-    # temporaries, so their space can go back to the system.
+    # Holds the positions first and the ids last.
     ids = np.arange(count, dtype=dtype)
-    # A copy even when ``low`` is 0: freeing it raises glibc's mmap
-    # threshold to its size, so later arrays up to that size reuse freed
-    # heap instead of faulting in fresh mappings.
-    offset = labels - low
     # A label's entry holds its first position; ``count`` marks an absent one.
     table = np.full(span, count, dtype=dtype)
-    np.minimum.at(table, offset, ids)
+    size = max(1, _BATCH_BYTES // 8)
+
+    def offsets(lo: int) -> np.ndarray:
+        # The offsets of a block of labels: each is below span <= count, so
+        # it fits in ``dtype`` and the modular difference is exact.
+        return np.subtract(labels[lo : lo + size], low, dtype=dtype, casting="unsafe")
+
+    for lo in range(0, count, size):
+        np.minimum.at(table, offsets(lo), ids[lo : lo + size])
     seen = table < count
     table[seen], ordered_labels = _rank_first_positions(table[seen], labels)
-    # Every offset is in range; "clip" also spares the copy of ``out`` that
-    # the default "raise" makes.
-    np.take(table, offset, out=ids, mode="clip")
+    for lo in range(0, count, size):
+        # In range: "clip" spares the copy of ``out`` that "raise" makes.
+        np.take(table, offsets(lo), out=ids[lo : lo + size], mode="clip")
     return ids, ordered_labels
 
 
@@ -321,17 +334,23 @@ def simple_graph(g: Graph) -> Graph:
     return _csr_graph(indptr, g.indices[keep], g.node_labels, SIMPLE)
 
 
-def _row_blocks(g: Graph):
-    """Cut ``g``'s rows into consecutive blocks of about ``_BATCH_BYTES // 8``
-    entries, ending on row boundaries, and yield ``(lo, hi, row)`` for each:
-    rows ``lo .. hi - 1``, and the row of each of their entries
-    ``indptr[lo] .. indptr[hi] - 1``.  The blocks cover every row, empty ones
+def _row_bounds(indptr: np.ndarray) -> list[int]:
+    """Cut the rows of a CSR ``indptr`` into consecutive blocks of about
+    ``_BATCH_BYTES // 8`` entries, ending on row boundaries: the first row of
+    each block, then the row count.  The blocks cover every row, empty ones
     included; a row longer than a block is a block of its own."""
     size = max(1, _BATCH_BYTES // 8)
-    total = len(g.indices)
+    n = len(indptr) - 1
     # The first row ending at or past each multiple of the block size: 1..n.
-    cuts = np.searchsorted(g.indptr, np.arange(size, total, size)).tolist()
-    bounds = [0, *sorted(set(cuts) - {g.node_count}), g.node_count]
+    cuts = np.searchsorted(indptr, np.arange(size, indptr[-1], size)).tolist()
+    return [0, *sorted(set(cuts) - {n}), n]
+
+
+def _row_blocks(g: Graph):
+    """Yield ``(lo, hi, row)`` for each block of ``_row_bounds(g.indptr)``:
+    rows ``lo .. hi - 1``, and the row of each of their entries
+    ``indptr[lo] .. indptr[hi] - 1``."""
+    bounds = _row_bounds(g.indptr)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         yield lo, hi, np.repeat(np.arange(lo, hi, dtype=g.indices.dtype), g.degrees[lo:hi])
 
@@ -479,8 +498,8 @@ def degree_stats(g: Graph, density_convention: str = TABLE1) -> DegreeStats:
 
 #: Bytes of line text per batch of ``_write_rows``; a batch holds that many
 #: rows (at least one), and its line matrix, mask and masked copy take about
-#: this many bytes each.  A block of ``_row_blocks`` holds a row id per entry
-#: for about one eighth as many entries.
+#: this many bytes each.  A block of ``_row_bounds`` or of the table relabel
+#: holds an 8-byte value per entry for about one eighth as many entries.
 _BATCH_BYTES = 1 << 17
 
 #: ``10**k`` for k = 1..19, every power of ten below ``2**64``.

@@ -17,8 +17,9 @@ values differ on such graphs.
 k_nn,i = S_i / d_i and k_nn(d) = T_d / (d * N_d) are each one division of
 exact integers (S_i: node i's neighbour-degree sum; N_d, T_d: the node count
 and S_i total of class d), so no value depends on the edge list's line order.
-Every measure reads S_i from ``Graph.neighbour_degree_sums``, one row-sum
-pass per graph however many measures are taken.
+Every measure reads S_i from ``Graph.neighbour_degree_sums`` and N_d, T_d
+from ``Graph.class_totals``: one row-sum pass and one class-totals pass per
+graph however many measures are taken.
 
 Undefined values (isolated nodes, zero-variance assortativity) are reported
 as NaN rather than raising.
@@ -64,20 +65,10 @@ def knn_node(g: Graph) -> np.ndarray:
     return out
 
 
-def class_totals(g: Graph) -> list[tuple[int, int, int]]:
-    """``(d, N_d, T_d)`` for each occupied degree class d >= 1 in ascending
-    order: its node count and the exact total of S_i over it, as Python ints
-    (whose quotients are correctly rounded)."""
-    counts = np.bincount(g.degrees)
-    totals = np.zeros(len(counts), dtype=np.int64)
-    np.add.at(totals, g.degrees, g.neighbour_degree_sums)
-    return [(int(d), int(counts[d]), int(totals[d])) for d in np.flatnonzero(counts) if d >= 1]
-
-
 def knn_class(g: Graph) -> dict[int, float]:
     """k_nn(d) = T_d / (d * N_d) of each occupied degree class d >= 1 by
     ascending degree."""
-    return {d: total / (d * count) for d, count, total in class_totals(g)}
+    return {d: total / (d * count) for d, count, total in g.class_totals}
 
 
 def assortativity(g: Graph) -> float:
@@ -94,10 +85,9 @@ def assortativity(g: Graph) -> float:
     pair_count = 2 * g.edge_count  # == sum of degrees
     # Over the 2m ordered pairs, summed by degree class: sum of x is
     # sum d_i^2, sum of x^2 is sum d_i^3 and sum of x*y is sum d_i * S_i.
-    classes = class_totals(g)
-    s_x = sum(count * d**2 for d, count, _ in classes)
-    s_xx = sum(count * d**3 for d, count, _ in classes)
-    s_xy = sum(d * total for d, _, total in classes)
+    s_x = sum(count * d**2 for d, count, _ in g.class_totals)
+    s_xx = sum(count * d**3 for d, count, _ in g.class_totals)
+    s_xy = sum(d * total for d, _, total in g.class_totals)
     num = pair_count * s_xy - s_x * s_x
     den = pair_count * s_xx - s_x * s_x
     if den == 0:

@@ -15,8 +15,8 @@ degrees are uncorrelated the per-node score factorizes as ip_i * nip_network.
 Scores come in two scales: NORMALIZED keeps the 1/2m factor, RAW is the
 integer d_i + S_i = d_i * (1 + k_nn,i).  A score, per node or as a degree
 class mean, is one division of exact integers, whatever the line order.
-S_i is ``Graph.neighbour_degree_sums``, computed once per graph and shared
-with the ``metrics`` measures.
+S_i and the class totals are the graph's ``neighbour_degree_sums`` and
+``class_totals``, computed once and shared with the ``metrics`` measures.
 Class means are the baseline that classifies nodes as over- or
 under-performers relative to peers of the same degree.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import DegreeStats, Graph
-from .metrics import class_totals, knn_global
+from .metrics import knn_global
 
 NORMALIZED = "NORMALIZED"
 RAW = "RAW"
@@ -88,7 +88,7 @@ def nip_class(g: Graph, scale: str = NORMALIZED) -> dict[int, float]:
     """Mean per-node score of each occupied degree class d >= 1, by ascending
     degree: (d * N_d + T_d) / (q * N_d) from the k_nn class totals."""
     q = _divisor(g, scale)
-    return {d: (d * count + total) / (q * count) for d, count, total in class_totals(g)}
+    return {d: (d * count + total) / (q * count) for d, count, total in g.class_totals}
 
 
 def node_class_means(class_means: dict[int, float], degrees: np.ndarray) -> np.ndarray:

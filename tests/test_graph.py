@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -767,11 +768,16 @@ _ROW_BLOCK_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(_ROW_BLOCK_GRAPHS))
 @pytest.mark.parametrize("budget", [1, 8, 64, None], ids=["1", "8", "64", "default"])
-def test_row_blocks_give_the_oracle_simple_graph_and_dump(name, budget, monkeypatch, tmp_path):
+def test_row_blocks_give_the_oracle_simple_graph_and_dump(
+    name, budget, monkeypatch, tmp_path, table_calls
+):
     """Blocks of one row (budgets 1 and 8 give one entry per block, so
     never more than one row with entries), of a few rows, and of all rows
-    cover every row in order; ``simple_graph`` and the edge dump built over
-    them equal the dense oracle and the row-by-row dump."""
+    cover every row in order; ``simple_graph``, the neighbour-degree sums
+    and the edge dump built over them equal the dense oracle and the
+    row-by-row dump.  The table relabel, whose label blocks have the same
+    budget, numbers the edge labels like the dict oracle when their span
+    starts at 0, ends at 2**63 - 1 or starts at -2**63."""
     if budget is not None:
         monkeypatch.setattr(graph_module, "_BATCH_BYTES", budget)
     n, edges = _ROW_BLOCK_GRAPHS[name]
@@ -787,9 +793,41 @@ def test_row_blocks_give_the_oracle_simple_graph_and_dump(name, budget, monkeypa
         a = oracles.adjacency_matrix(edges, n, multiset)
         assert g.degrees.tolist() == oracles.degrees_of(a)
         assert g.edge_count == oracles.edge_count_of(a)
+        assert g.neighbour_degree_sums.tolist() == oracles.neighbour_sums(a)
         for i in range(n):
             row = g.indices[g.indptr[i] : g.indptr[i + 1]].tolist()
             assert row == [j for j in range(n) for _ in range(int(a[i, j]))]
         path = tmp_path / f"{g.mode}.txt"
         write_edge_dump(g, path)
         assert path.read_bytes() == "".join(_dump_from_adjacency(g)).encode()
+    offsets = np.asarray(edges, dtype=np.int64).reshape(-1)
+    offsets -= offsets.min(initial=0)
+    for low in (0, I64_MAX - int(offsets.max(initial=0)), I64_MIN):
+        labels = (offsets + np.int64(low)).tolist()
+        ids, ordered = _first_appearance_ids(np.asarray(labels, dtype=np.int64))
+        assert (ids.tolist(), ordered.tolist()) == _first_appearance_oracle(labels)
+    assert len(table_calls) == (3 if edges else 0)
+
+
+def test_row_sum_pass_and_table_relabel_memory_stay_bounded(table_calls):
+    """Traced peaks on a seeded graph of 400,000 pairs over about 50,000
+    dense labels, the same on every run: the table relabel holds at most
+    1.0 times the pairs' bytes, and the row-sum pass at most 0.5 times the
+    graph's arrays."""
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    pairs = np.random.default_rng(1).integers(0, 50_000, size=(400_000, 2))
+    _, peak = traced_peak(lambda: _first_appearance_ids(pairs.reshape(-1)))
+    assert len(table_calls) == 1
+    assert peak <= 1.0 * pairs.nbytes
+    g = build_graph(pairs, mode=RAW_MULTISET)
+    arrays = g.indptr.nbytes + g.indices.nbytes + g.degrees.nbytes + g.node_labels.nbytes
+    _, peak = traced_peak(lambda: g.neighbour_degree_sums)
+    assert peak <= 0.5 * arrays

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -15,12 +16,14 @@ from netpatrimony import (
     knn_global,
     knn_node,
     knn_profile,
-    metrics,
     nip_class,
     nip_node_correlated,
     nip_scores,
     simple_graph,
 )
+from netpatrimony.cli import main
+from netpatrimony.graph import Graph
+from conftest import SIX_NODE_FILE
 
 
 def test_six_node_values(six_node_simple):
@@ -85,8 +88,8 @@ def test_class_totals_match_oracle_and_sum_rules():
             if d:
                 count, total = expected.get(d, (0, 0))
                 expected[d] = (count + 1, total + s)
-        totals = metrics.class_totals(g)
-        assert [(d, *expected[d]) for d in sorted(expected)] == totals
+        totals = g.class_totals
+        assert tuple((d, *expected[d]) for d in sorted(expected)) == totals
         assert all(d >= 1 for d, _, _ in totals)
         assert sum(count for _, count, _ in totals) == sum(map(bool, degrees)) == edged
         assert sum(d * count for d, count, _ in totals) == 2 * g.edge_count
@@ -113,6 +116,34 @@ def test_one_row_sum_pass_per_graph(monkeypatch):
         ids = [[graph.node_labels.tolist().index(x) for x in e] for e in edges]
         a = oracles.adjacency_matrix(ids, graph.node_count, multiset=mode)
         assert graph.neighbour_degree_sums.tolist() == oracles.neighbour_sums(a)
+
+
+def test_one_class_totals_pass_per_graph(monkeypatch, tmp_path):
+    # knn(d), assortativity and nip(d) read the graph's cached class totals;
+    # a derived graph has its own.  A nip run takes them once, a two-mode
+    # report once per mode.
+    graphs = []
+    compute = Graph.class_totals.func
+    spy = functools.cached_property(lambda g: graphs.append(g) or compute(g))
+    spy.__set_name__(Graph, "class_totals")
+    monkeypatch.setattr(Graph, "class_totals", spy)
+    g = build_graph([(1, 2), (2, 3), (3, 1), (3, 4), (4, 4), (1, 2), (5, 2)], mode=RAW_MULTISET)
+    measures = (knn_class, assortativity, knn_profile, nip_class, nip_scores)
+    for measure in measures:
+        measure(g)
+    assert graphs == [g]
+    simple = simple_graph(g)
+    for measure in measures:
+        measure(simple)
+    assert graphs == [g, simple]
+    for argv, passes in (
+        (["nip", str(SIX_NODE_FILE)], 1),
+        (["nip", str(SIX_NODE_FILE), "--mode", "RAW_MULTISET"], 1),
+        (["report", "--both-modes", str(SIX_NODE_FILE)], 2),
+    ):
+        graphs.clear()
+        assert main([*argv, "--output-dir", str(tmp_path / argv[0])]) == 0
+        assert len(graphs) == len({id(graph) for graph in graphs}) == passes
 
 
 def test_neighbour_degree_sums_are_read_only(six_node_simple):
