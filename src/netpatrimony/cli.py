@@ -173,12 +173,23 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _class_columns(g: Graph, class_means: dict[int, float]) -> list[np.ndarray]:
-    """Degree, class size and mean columns of a per-degree-class table."""
-    degrees = np.fromiter(class_means, dtype=np.int64, count=len(class_means))
-    class_sizes = np.bincount(g.degrees)
-    values = np.fromiter(class_means.values(), dtype=float, count=len(class_means))
-    return [degrees, class_sizes[degrees], values]
+def _write_class_table(path: Path, g: Graph, column: str, class_means: dict[int, float]) -> None:
+    """A per-degree-class table: each class's ``d`` and ``N_d`` from
+    ``g.class_totals``, which ``class_means`` was computed from in the same
+    ascending order, then its mean under ``column``."""
+    table = np.array(g.class_totals, dtype=np.int64).reshape(-1, 3)
+    means = np.fromiter(class_means.values(), dtype=float, count=len(class_means))
+    _write_csv(path, ["degree", "class_size", column], [table[:, 0], table[:, 1], means])
+
+
+_NODE_HEADER = ["node_label", "degree", "knn_i"]
+
+
+def _node_columns(g: Graph, profile: metrics.KnnProfile) -> tuple[np.ndarray, list]:
+    """The table by degree that degree-valued cells come from, and the
+    ``_NODE_HEADER`` columns that open knn_node.csv and nip_node.csv."""
+    degree = np.arange(g.degrees.max(initial=0) + 1)
+    return degree, [g.node_labels, (degree, g.degrees), profile.knn_node]
 
 
 def _summary(g: Graph, density_convention: str) -> dict:
@@ -226,31 +237,20 @@ def cmd_stats(args) -> int:
 
 def cmd_knn(args) -> int:
     outdir, g, profile = _analyse(args)
-    _write_csv(
-        outdir / "knn_node.csv",
-        ["node_label", "degree", "knn_i"],
-        [g.node_labels, (np.arange(g.degrees.max(initial=0) + 1), g.degrees), profile.knn_node],
-    )
-    _write_csv(
-        outdir / "knn_class.csv",
-        ["degree", "class_size", "knn_d"],
-        _class_columns(g, profile.knn_class),
-    )
+    _write_csv(outdir / "knn_node.csv", _NODE_HEADER, _node_columns(g, profile)[1])
+    _write_class_table(outdir / "knn_class.csv", g, "knn_d", profile.knn_class)
     return 0
 
 
 def cmd_nip(args) -> int:
     outdir, g, profile = _analyse(args)
     scores = nip.nip_scores(g, scale=args.scale, tolerance=args.tolerance)
-    # Degree-valued cells come from tables by degree.
-    degree = np.arange(g.degrees.max(initial=0) + 1)
+    degree, node_columns = _node_columns(g, profile)
     _write_csv(
         outdir / "nip_node.csv",
-        ["node_label", "degree", "knn_i", "ip", "nip", "class_nip", "classification", "scale"],
+        [*_NODE_HEADER, "ip", "nip", "class_nip", "classification", "scale"],
         [
-            g.node_labels,
-            (degree, g.degrees),
-            profile.knn_node,
+            *node_columns,
             (degree / (2 * g.edge_count), g.degrees),
             scores.nip_node,
             (nip.node_class_means(scores.nip_class, degree), g.degrees),
@@ -258,11 +258,7 @@ def cmd_nip(args) -> int:
             ([args.scale], np.broadcast_to(np.int8(0), g.node_count)),
         ],
     )
-    _write_csv(
-        outdir / "nip_class.csv",
-        ["degree", "class_size", "nip_d"],
-        _class_columns(g, scores.nip_class),
-    )
+    _write_class_table(outdir / "nip_class.csv", g, "nip_d", scores.nip_class)
     return 0
 
 
@@ -288,17 +284,11 @@ def cmd_congen(args) -> int:
     )
     outdir = _ensure_outdir(args)
     write_edge_dump(g, outdir / "edges.txt")
-    meta = {
-        "spec": spec.to_dict(),
-        "rng": info["rng"],
-        "attempts": info["attempts"],
-        "n": g.node_count,
-        "m": g.edge_count,
-        "mode": g.mode,
-    }
-    if "erased_edges" in info:
-        meta["erased_edges"] = info["erased_edges"]
-    _write_json(outdir / "meta.json", meta)
+    # generate's record fills the rng and attempts slots; any other key it
+    # records follows mode.
+    slots = {"spec": spec.to_dict(), "rng": None, "attempts": None}
+    slots.update(n=g.node_count, m=g.edge_count, mode=g.mode)
+    _write_json(outdir / "meta.json", {**slots, **info})
     _write_run_config(args, outdir, [spec_path], g.mode, seed=spec.seed)
     return 0
 

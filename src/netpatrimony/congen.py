@@ -284,10 +284,10 @@ def generate(
 ) -> tuple[Graph, dict]:
     """Configuration-model graph plus generation metadata.
 
-    Returns ``(graph, info)`` where ``info`` records the rng, the number of
-    matching attempts and, under ERASE, how many edges were removed.  The
-    graph always contains all ``len(degrees)`` nodes (labelled 0..n-1), so
-    zero-degree entries become isolated nodes.
+    Returns ``(graph, info)`` where ``info`` records only what generation
+    found: the rng, the number of matching attempts and, under ERASE, how
+    many edges were removed.  The graph always contains all ``len(degrees)``
+    nodes (labelled 0..n-1), so zero-degree entries become isolated nodes.
 
     Raises ValueError for negative degrees, an odd degree sum (or one of
     2^63 or more) or ``max_attempts`` below 1, and RejectionExhaustedError
@@ -309,7 +309,7 @@ def generate(
         )
     nodes = np.arange(len(deg), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    info = {"rng": RNG_NAME, "seed": int(seed), "policy": simple_policy}
+    info = {"rng": RNG_NAME}
 
     for attempt in range(1, (max_attempts if simple_policy == REJECT else 1) + 1):
         info["attempts"] = attempt

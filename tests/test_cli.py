@@ -613,6 +613,25 @@ class TestCongenCommand:
         assert meta["m"] == 3
         assert meta["spec"]["seed"] == 3
 
+    def test_meta_json_keeps_every_generator_key(self, tmp_path, monkeypatch):
+        # meta.json is written from generate's record as returned: a key the
+        # generator adds reaches the file, after the graph's own fields.
+        from netpatrimony import congen
+
+        generate = congen.generate
+
+        def generate_with_swaps(*args, **kwargs):
+            g, info = generate(*args, **kwargs)
+            return g, {**info, "swaps": 7}
+
+        monkeypatch.setattr(congen, "generate", generate_with_swaps)
+        spec = self.write_spec(tmp_path, {**VALID_SPECS["EXPLICIT"], "simple_policy": "ERASE"})
+        out = tmp_path / "out"
+        assert main(["congen", str(spec), "--output-dir", str(out)]) == 0
+        meta = read_json(out / "meta.json")
+        assert list(meta) == ["spec", "rng", "attempts", "n", "m", "mode", "erased_edges", "swaps"]
+        assert meta["swaps"] == 7
+
     def test_seed_override_changes_run_config(self, tmp_path):
         spec = self.write_spec(
             tmp_path,

@@ -345,10 +345,13 @@ class TestGeneration:
         assert first != other
 
     def test_metadata_records_generator(self):
-        _, info = generate([2, 2, 2], seed=9)
-        assert info["rng"] == "pcg64"
-        assert info["seed"] == 9
-        assert info["policy"] == MULTIGRAPH
+        # Only what generation found, nothing its caller passed in.
+        for policy in (MULTIGRAPH, ERASE, REJECT):
+            _, info = generate([2, 2, 2], seed=9, simple_policy=policy)
+            found = ["rng", "attempts", *(["erased_edges"] if policy == ERASE else [])]
+            assert list(info) == found
+            assert info["rng"] == "pcg64"
+            assert info["attempts"] >= 1
 
     def test_ensemble_assortativity_is_neutral(self):
         # Random stub matching imposes no degree-degree correlation, so the
