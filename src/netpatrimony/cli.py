@@ -307,8 +307,7 @@ def _report_rows(path: Path, modes: list[str], density_convention: str) -> list[
     if len(pairs) == 0:
         empty = {"dataset": name, "status": "NO_EDGES", "n": 0, "m": 0}
         return [{**empty, "mode": mode} for mode in modes]
-    raw = graph.build_graph(pairs, mode=RAW_MULTISET)
-    del pairs  # freed before the rows are computed
+    raw = graph.build_graph(pairs, mode=RAW_MULTISET, overwrite_edges=True)
     graphs = (raw if mode == RAW_MULTISET else graph.simple_graph(raw) for mode in modes)
     return [_report_row(name, g, density_convention) for g in graphs]
 

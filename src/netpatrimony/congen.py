@@ -268,12 +268,13 @@ def sample_degree_sequence(spec: DegreeSequenceSpec) -> np.ndarray:
 
 
 def _match_stubs(degrees: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The shuffled stubs paired consecutively, as an ``(m, 2)`` view of the
-    stub array (no copy)."""
+    """The shuffled stubs paired consecutively: the stub array itself, of
+    even length, reshaped in place to ``(m, 2)``, so it still owns its data
+    and ``build_graph`` may build in it."""
     stubs = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
     rng.shuffle(stubs)
-    half = len(stubs) // 2
-    return stubs[: 2 * half].reshape(-1, 2)
+    stubs.shape = (-1, 2)
+    return stubs
 
 
 def generate(
@@ -304,17 +305,15 @@ def generate(
         raise ValueError("degrees must be non-negative")
     total = _degree_total(deg)
     if total % 2:
-        raise ValueError(
-            f"degree sum must be even to pair stubs, got {total}"
-        )
+        raise ValueError(f"degree sum must be even to pair stubs, got {total}")
     nodes = np.arange(len(deg), dtype=np.int64)
     rng = np.random.default_rng(seed)
     info = {"rng": RNG_NAME}
 
     for attempt in range(1, (max_attempts if simple_policy == REJECT else 1) + 1):
         info["attempts"] = attempt
-        # Passed without a name here, so build_graph can free the stubs early.
-        raw = build_graph(_match_stubs(deg, rng), mode=RAW_MULTISET, nodes=nodes)
+        # The stub array becomes the RAW_MULTISET graph's indices.
+        raw = build_graph(_match_stubs(deg, rng), RAW_MULTISET, nodes, overwrite_edges=True)
         if simple_policy == MULTIGRAPH:
             return raw, info
         # The SIMPLE derivation is exactly the erasure step.

@@ -78,8 +78,8 @@ class Graph:
         lengths equal degrees.  A SIMPLE graph's arrays are derived from
         the RAW_MULTISET ones (``simple_graph``): self-loop entries dropped
         and each repeated entry of a row kept once.  Construction sorts
-        packed ``i*n + j`` int64 keys, which needs ``n**2 < 2**63`` (n
-        below about 3.04e9).
+        packed ``i*n + j`` int64 keys in the edge buffer, which then holds
+        ``indices``; this needs ``n**2 < 2**63`` (n below about 3.04e9).
         ``indices`` is int32 when ``n < 2**31`` and int64 otherwise;
         ``indptr`` is always int64.
     degrees : np.ndarray
@@ -144,110 +144,100 @@ def _index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32) if n < 2**31 else np.dtype(np.int64)
 
 
-def _first_appearance_ids(
-    labels: np.ndarray, prefix: np.ndarray = np.empty(0, dtype=np.int64)
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map 1-D integer labels to 0..n-1 in order of first appearance, the
-    labels of ``prefix`` coming before all of ``labels``.
-
-    Returns ``(ids, ordered_labels)``: ``ids[i]`` is the internal index of
-    ``labels[i]``, of dtype ``_index_dtype(len(prefix) + len(labels))``, and
-    ``ordered_labels[k]`` is the original label of internal index k.  A prefix
-    that is the whole span ``max - min + 1`` of both arrays in ascending order
-    (every ``congen`` graph's ``nodes``) numbers each label by its offset from
-    the minimum.  Any other prefix is joined in front of the labels, grouped
-    by a span-sized table when the span is at most their count (SNAP files:
-    labels about 0..n-1), else by one ``argsort``.
-    """
+def _first_appearance_ids(labels: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """Overwrite the 1-D int64 ``labels`` with ids 0..n-1 in order of first
+    appearance, the labels of ``prefix`` coming first, and return the labels
+    in id order.  A prefix that is the whole span ``max - min + 1`` of both
+    arrays in ascending order (every ``congen`` graph's ``nodes``) numbers
+    each label by its offset from the minimum.  Any other prefix is joined
+    in front of a copy of the labels, which are grouped by a span-sized
+    table when the span is at most their count (SNAP files: labels about
+    0..n-1), else by one ``argsort``."""
     start = len(prefix)
     count = start + len(labels)
-    dtype = _index_dtype(count)
     if not count:
-        return np.empty(0, dtype=dtype), labels.copy()
+        return labels.copy()
     low = min(part.min() for part in (prefix, labels) if len(part))
     # Python ints: the int64 difference of the int64 extremes overflows.
     span = int(max(part.max() for part in (prefix, labels) if len(part))) - int(low) + 1
     # Differences of 1 taken modulo 2**64 still pin the prefix to
     # ``low, low + 1, ...``: it has ``span`` entries, all within the span.
     if start == span and prefix[0] == low and (np.diff(prefix) == 1).all():
-        # Each offset fits in ``dtype``, so the modular difference is exact.
-        return np.subtract(labels, low, dtype=dtype, casting="unsafe"), prefix.copy()
-    if start:
-        labels = np.concatenate([prefix, labels])
+        # Each offset is below span <= count, so the modular difference is exact.
+        labels -= low
+        return prefix.copy()
+    joined = np.concatenate([prefix, labels]) if start else labels
     if span <= count:
-        ids, ordered_labels = _first_appearance_by_table(labels, low, span, dtype)
+        joined -= low  # as above
+        ordered_labels = _first_appearance_by_table(joined, span) + low
     else:
-        ids, ordered_labels = _first_appearance_by_sort(labels, dtype)
-    return ids[start:], ordered_labels
+        ordered_labels = _first_appearance_by_sort(joined)
+    if start:
+        labels[...] = joined[start:]
+    return ordered_labels
 
 
-def _first_appearance_by_table(
-    labels: np.ndarray, low: np.integer, span: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """The table grouping of ``_first_appearance_ids``, for labels in ``low ..
-    low + span - 1`` with ``span <= len(labels)``: a table indexed by each
-    label's offset takes its first position by ``np.minimum.at``, then its id."""
-    count = len(labels)
-    # Holds the positions first and the ids last.
-    ids = np.arange(count, dtype=dtype)
-    # A label's entry holds its first position; ``count`` marks an absent one.
+def _first_appearance_by_table(offsets: np.ndarray, span: int) -> np.ndarray:
+    """The table grouping of ``_first_appearance_ids``, for offsets in ``0 ..
+    span - 1`` with ``span <= len(offsets)``: a table indexed by offset takes
+    each one's first position by ``np.minimum.at``, then its id, which is
+    written over the offset.  Returns the offsets in id order."""
+    count = len(offsets)
+    dtype = _index_dtype(count)
+    # An offset's entry holds its first position; ``count`` marks an absent one.
     table = np.full(span, count, dtype=dtype)
     size = max(1, _BATCH_BYTES // 8)
-
-    def offsets(lo: int) -> np.ndarray:
-        # The offsets of a block of labels: each is below span <= count, so
-        # it fits in ``dtype`` and the modular difference is exact.
-        return np.subtract(labels[lo : lo + size], low, dtype=dtype, casting="unsafe")
-
     for lo in range(0, count, size):
-        np.minimum.at(table, offsets(lo), ids[lo : lo + size])
-    seen = table < count
-    table[seen], ordered_labels = _rank_first_positions(table[seen], labels)
+        block = offsets[lo : lo + size]
+        np.minimum.at(table, block, np.arange(lo, lo + len(block), dtype=dtype))
+    ordered = np.flatnonzero(table < count)
+    ordered = ordered[np.argsort(table[ordered])]  # distinct positions: any sort will do
+    # Each offset's id: the rank of its first position.
+    table[ordered] = np.arange(len(ordered), dtype=dtype)
     for lo in range(0, count, size):
-        # In range: "clip" spares the copy of ``out`` that "raise" makes.
-        np.take(table, offsets(lo), out=ids[lo : lo + size], mode="clip")
-    return ids, ordered_labels
+        block = offsets[lo : lo + size]
+        block[...] = table[block]
+    return ordered
 
 
-def _first_appearance_by_sort(labels: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The argsort grouping: each group's least position is its first, so any sort will do."""
-    # Allocated first, so the temporaries freed above it can go back to the system.
-    ids = np.empty(len(labels), dtype=dtype)
-    order = np.argsort(labels).astype(dtype, copy=False)
-    sorted_labels = labels[order]
-    # Set where a sorted label differs from the one before it: each group's start.
-    starts = np.empty(len(labels), dtype=bool)
-    starts[:1] = True
-    np.not_equal(sorted_labels[1:], sorted_labels[:-1], out=starts[1:])
-    del sorted_labels
-    starts = np.flatnonzero(starts)
-    rank, ordered_labels = _rank_first_positions(np.minimum.reduceat(order, starts), labels)
-    ids[order] = np.repeat(rank, np.diff(starts, append=len(labels)))
-    return ids, ordered_labels
+def _first_appearance_by_sort(labels: np.ndarray) -> np.ndarray:
+    """The argsort grouping of ``_first_appearance_ids``: each label is
+    overwritten by the rank of its value among the distinct labels, over
+    blocks of one ``argsort``, and the ranks, which span no more than their
+    count, are numbered by the table."""
+    order = np.argsort(labels)
+    size = max(1, _BATCH_BYTES // 8)
+    distinct, groups, last = [], 0, ~labels[order[:1]]  # unequal to the least label
+    for lo in range(0, len(labels), size):
+        at = order[lo : lo + size]
+        values = labels[at]
+        # Where a sorted label differs from the one before it (a difference
+        # taken modulo 2**64 is zero only between equal labels).
+        new = np.diff(values, prepend=last) != 0
+        last = values[-1:]
+        labels[at] = np.cumsum(new) + (groups - 1)
+        distinct.append(values[new])
+        groups += len(distinct[-1])
+    del order, at
+    distinct = np.concatenate(distinct)
+    return distinct[_first_appearance_by_table(labels, len(distinct))]
 
 
-def _rank_first_positions(first: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each label's id, the rank of its first position ``first``, and the labels in id order."""
-    by_position = np.argsort(first)  # distinct values: any sort will do
-    rank = np.empty_like(first)
-    rank[by_position] = np.arange(len(first), dtype=first.dtype)
-    return rank, labels[first[by_position]]
-
-
-def _labels(values, name: str) -> np.ndarray:
-    """``values`` as int64, read in place when it is int64; ValueError naming
-    ``name`` unless it holds only integers of the int64 range (an empty list,
-    which numpy reads as float64, holds none)."""
+def _labels(values, name: str, copy: bool = False) -> np.ndarray:
+    """``values`` as a C-ordered int64 array, read in place when it is one
+    unless ``copy``; ValueError naming ``name`` unless it holds only integers
+    of the int64 range (an empty list, read as float64, holds none)."""
     arr = np.asarray(values)
     if arr.size and (arr.dtype.kind not in "iu" or arr.dtype.kind == "u" and arr.max() >= 2**63):
         raise ValueError(f"{name} must be integer labels of the int64 range, got {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    return arr.astype(np.int64, order="C", copy=copy)
 
 
 def build_graph(
     edges: Sequence[tuple[int, int]] | np.ndarray,
     mode: str = SIMPLE,
     nodes: Sequence[int] | np.ndarray | None = None,
+    overwrite_edges: bool = False,
 ) -> Graph:
     """Build a Graph from integer endpoint pairs.
 
@@ -262,20 +252,31 @@ def build_graph(
         Extra node labels to register before the edge endpoints, in the
         given order.  Lets callers keep isolated nodes; required when
         ``edges`` is empty.
+    overwrite_edges : bool
+        False builds in an int64 copy of ``edges``.  True builds in
+        ``edges`` itself, a C-contiguous int64 ndarray that owns its
+        writeable data and that no other array views: it becomes the
+        RAW_MULTISET graph's ``indices`` buffer, resized in place to shape
+        ``(k,)`` when they are int32.
 
     Raises
     ------
     ValueError
         If ``mode`` is unknown, a label is not an integer of the int64 range,
-        or the edge list is empty and no ``nodes`` were supplied (nothing
-        would define the graph).
+        the edge list is empty and no ``nodes`` were supplied (nothing would
+        define the graph), or ``overwrite_edges`` is given an array it may
+        not overwrite.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r} (expected RAW_MULTISET or SIMPLE)")
 
-    pairs = _labels(edges, "edges")
+    owned = isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.flags.owndata
+    if overwrite_edges and not (owned and edges.flags.c_contiguous and edges.flags.writeable):
+        need = "a writeable C-contiguous int64 ndarray owning its data"
+        raise ValueError(f"overwrite_edges=True needs {need}")
+    pairs = edges if overwrite_edges else _labels(edges, "edges", copy=True)
     if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
+        pairs.shape = (0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"edges must have shape (k, 2), got {pairs.shape}")
 
@@ -283,30 +284,36 @@ def build_graph(
     if pairs.shape[0] == 0 and extra.size == 0:
         raise ValueError("empty edge list and no nodes given: graph is undefined")
 
-    ids, labels = _first_appearance_ids(pairs.reshape(-1), extra)
-    ids = ids.reshape(-1, 2)
-    del edges, pairs, extra  # a caller that kept no reference frees them here
-    n = len(labels)
-
-    # Both orientations' packed keys ``a*n + b`` and ``b*n + a`` go into one
-    # buffer, sorted by row and then neighbour.  dtype= keeps the products
-    # 64-bit: numpy 1.x would multiply int32 ids by a scalar in int32 and
-    # wrap above about 46341 nodes.
-    k = len(ids)
-    key = np.empty(2 * k, dtype=np.int64)
-    np.multiply(ids[:, 0], n, out=key[:k], dtype=np.int64)
-    key[:k] += ids[:, 1]
-    np.multiply(ids[:, 1], n, out=key[k:], dtype=np.int64)
-    key[k:] += ids[:, 0]
-    del ids
-    key.sort()
-    # Row i holds the keys in [i*n, (i+1)*n).
-    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-    indices = np.empty(len(key), dtype=_index_dtype(n))
-    np.remainder(key, n, out=indices, casting="unsafe")
-    del key  # freed before a SIMPLE graph is derived
-    raw = _csr_graph(indptr, indices, labels, RAW_MULTISET)
+    labels = _first_appearance_ids(pairs.reshape(-1), extra)
+    dtype = _index_dtype(len(labels))
+    indptr = _sort_packed_pairs(pairs, len(labels), dtype)
+    if dtype.itemsize < pairs.itemsize:
+        # Gives back the upper half.  The array object changes in place, so plain
+        # references see the new shape; only a view could dangle, and none exists.
+        pairs.resize((len(pairs),), refcheck=False)
+    raw = _csr_graph(indptr, pairs.reshape(-1).view(dtype), labels, RAW_MULTISET)
     return raw if mode == RAW_MULTISET else simple_graph(raw)
+
+
+def _sort_packed_pairs(pairs: np.ndarray, n: int, dtype: np.dtype) -> np.ndarray:
+    """The RAW_MULTISET CSR of the ``(k, 2)`` int64 id pairs of an ``n``-node
+    graph, built in blocks in their own buffer: return ``indptr``, and leave
+    the ``2k`` neighbour ids as ``dtype`` at the buffer's front.  Each pair
+    ``(a, b)`` becomes the keys ``a*n + b`` and ``b*n + a``, sorted in place
+    by row, then neighbour: row i's keys lie in ``[i*n, (i+1)*n)``."""
+    size = max(1, _BATCH_BYTES // 16)
+    for lo in range(0, len(pairs), size):
+        block = pairs[lo : lo + size]
+        block[...] = block * n + block[:, ::-1]
+    keys = pairs.reshape(-1)
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    indices = keys.view(dtype)[: len(keys)]
+    for lo in range(0, len(keys), size):
+        # Entry j of ``indices`` lies in key j or an earlier one, all read by
+        # now; numpy reads a block through a copy where its output overlaps it.
+        np.remainder(keys[lo : lo + size], n, out=indices[lo : lo + size], casting="unsafe")
+    return indptr
 
 
 def simple_graph(g: Graph) -> Graph:
@@ -383,11 +390,8 @@ def parse_edge_lines(lines: Iterable[str], path: str = "<memory>") -> np.ndarray
             continue
         parts = text.split()
         if len(parts) != 2:
-            raise SnapParseError(
-                f"expected two whitespace-separated integer ids, got {len(parts)} fields",
-                path,
-                line_no,
-            )
+            message = f"expected two whitespace-separated integer ids, got {len(parts)} fields"
+            raise SnapParseError(message, path, line_no)
         if not (_ID.fullmatch(parts[0]) and _ID.fullmatch(parts[1])):
             raise SnapParseError(f"non-integer node id in {parts!r}", path, line_no)
         u, v = int(parts[0]), int(parts[1])
@@ -414,7 +418,8 @@ def _open_text(path: Path):
 
 
 def load_edge_file(path: str | Path) -> np.ndarray:
-    """Read an edge-list text file to an (k, 2) int64 array.
+    """Read an edge-list text file to an (k, 2) int64 array that owns its
+    data, so ``build_graph`` may build in it.
 
     Tries the fast numpy text reader first and falls back to the strict
     parser, which pins down the offending line, when that fails or the
@@ -427,13 +432,11 @@ def load_edge_file(path: str | Path) -> np.ndarray:
         with warnings.catch_warnings():
             # A fractional id like "4.5" must be a parse error, not a
             # silent truncation.
-            warnings.filterwarnings(
-                "error", message=".*Parsing an integer via a float.*"
-            )
+            warnings.filterwarnings("error", message=".*Parsing an integer via a float.*")
             warnings.filterwarnings("ignore", message=".*input contained no data.*")
             arr = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
         if arr.shape[1] == 2:
-            return arr
+            return np.require(arr, requirements="CO")
         # An empty file, or a uniformly wrong column count, parses fine.
     except Exception:
         pass  # the strict parser below says what is wrong, and where
@@ -451,7 +454,7 @@ def load_graph(path: str | Path, mode: str = SIMPLE) -> Graph:
     Raises ValueError (via build_graph) if the file holds no edges, and
     SnapParseError for malformed lines.
     """
-    return build_graph(load_edge_file(path), mode=mode)
+    return build_graph(load_edge_file(path), mode=mode, overwrite_edges=True)
 
 
 def degree_stats(g: Graph, density_convention: str = TABLE1) -> DegreeStats:
@@ -466,10 +469,8 @@ def degree_stats(g: Graph, density_convention: str = TABLE1) -> DegreeStats:
     Raises ValueError on an unknown convention or an empty graph.
     """
     if density_convention not in DENSITY_CONVENTIONS:
-        raise ValueError(
-            f"unknown density convention: {density_convention!r} "
-            f"(expected TABLE1 or HALF)"
-        )
+        message = f"unknown density convention: {density_convention!r} (expected TABLE1 or HALF)"
+        raise ValueError(message)
     n = g.node_count
     if n == 0:
         raise ValueError("degree statistics are undefined for an empty graph")
@@ -498,8 +499,8 @@ def degree_stats(g: Graph, density_convention: str = TABLE1) -> DegreeStats:
 
 #: Bytes of line text per batch of ``_write_rows``; a batch holds that many
 #: rows (at least one), and its line matrix, mask and masked copy take about
-#: this many bytes each.  A block of ``_row_bounds`` or of the table relabel
-#: holds an 8-byte value per entry for about one eighth as many entries.
+#: this many bytes each.  A block of ``_row_bounds`` or of the relabel holds
+#: one eighth as many 8-byte entries, and one of the key packing a sixteenth.
 _BATCH_BYTES = 1 << 17
 
 #: ``10**k`` for k = 1..19, every power of ten below ``2**64``.

@@ -445,7 +445,7 @@ def test_report_csv_bytes_match_row_wise_writer(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli.graph, "build_graph", counted)
     assert main(["report", str(edges), str(missing), "--both-modes", "--output-dir", str(out)]) == 0
-    assert builds == [{"mode": RAW_MULTISET}]
+    assert builds == [{"mode": RAW_MULTISET, "overwrite_edges": True}]
     monkeypatch.undo()
     capsys.readouterr()
     metrics = ["n", "m", "density", "mean_degree", "mean_square_degree", "variance",

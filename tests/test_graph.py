@@ -52,8 +52,16 @@ def _first_appearance_oracle(labels):
     ],
 )
 def test_first_appearance_ids_match_dict_oracle(labels):
-    ids, ordered = _first_appearance_ids(np.asarray(labels, dtype=np.int64))
+    ids, ordered = _relabel(labels)
     assert (ids.tolist(), ordered.tolist()) == _first_appearance_oracle(labels)
+
+
+def _relabel(labels, prefix=()):
+    """``_first_appearance_ids`` on an int64 copy of ``labels``: the ids it
+    writes over the copy, and the labels in id order."""
+    ids = np.array(labels, dtype=np.int64)
+    ordered = _first_appearance_ids(ids, np.asarray(prefix, dtype=np.int64))
+    return ids, ordered
 
 
 def _spy(monkeypatch, name, record):
@@ -73,13 +81,14 @@ def _spy(monkeypatch, name, record):
 @pytest.fixture
 def table_calls(monkeypatch):
     """Records the span of each call of ``_first_appearance_ids``'s table path."""
-    return _spy(monkeypatch, "_first_appearance_by_table", lambda labels, low, span, dtype: span)
+    return _spy(monkeypatch, "_first_appearance_by_table", lambda offsets, span: span)
 
 
 @pytest.fixture
 def sort_calls(monkeypatch):
-    """Records the label count of each call of ``_first_appearance_ids``'s argsort path."""
-    return _spy(monkeypatch, "_first_appearance_by_sort", lambda labels, dtype: len(labels))
+    """Records the label count of each call of ``_first_appearance_ids``'s
+    argsort path, which numbers the ranks of the labels by the table path."""
+    return _spy(monkeypatch, "_first_appearance_by_sort", lambda labels: len(labels))
 
 
 def test_first_appearance_ids_match_dict_oracle_on_random_labels(table_calls, sort_calls):
@@ -114,16 +123,13 @@ def test_first_appearance_ids_match_dict_oracle_on_random_labels(table_calls, so
             labels.append(int(rng.choice(np.setdiff1d(window, run))))
         prefix = prefix.tolist()
         before = len(table_calls), len(sort_calls)
-        ids, ordered = _first_appearance_ids(
-            np.asarray(labels, dtype=np.int64), np.asarray(prefix, dtype=np.int64)
-        )
+        ids, ordered = _relabel(labels, prefix)
         ran = (len(table_calls) - before[0], len(sort_calls) - before[1])
-        path = {(0, 0): "offset", (1, 0): "table", (0, 1): "sort"}[ran]
+        path = {(0, 0): "offset", (1, 0): "table", (1, 1): "sort"}[ran]
         assert (path == "offset") == (kind == 1)
         assert path == "sort" or kind != 4
         paths.add(path)
         expected_ids, expected_order = _first_appearance_oracle(prefix + labels)
-        assert ids.dtype == _index_dtype(len(prefix) + len(labels))
         assert (ids.tolist(), ordered.tolist()) == (expected_ids[len(prefix) :], expected_order)
     assert paths == {"offset", "table", "sort"}
 
@@ -144,11 +150,12 @@ def test_first_appearance_ids_match_dict_oracle_on_random_labels(table_calls, so
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_table_path_boundary_and_index_dtype(labels, table_path, dtype, table_calls, monkeypatch):
     """The table path is taken exactly when the label span is at most
-    ``len(labels)``; either path gives ``_index_dtype(len(labels))`` ids."""
+    ``len(labels)``, else the table numbers the ranks of the distinct
+    labels; either path gives the dict ids with a table of either index
+    dtype."""
     monkeypatch.setattr(graph_module, "_index_dtype", lambda n: np.dtype(dtype))
-    ids, ordered = _first_appearance_ids(np.asarray(labels, dtype=np.int64))
-    assert table_calls == ([max(labels) - min(labels) + 1] if table_path else [])
-    assert ids.dtype == dtype
+    ids, ordered = _relabel(labels)
+    assert table_calls == [max(labels) - min(labels) + 1 if table_path else len(set(labels))]
     assert (ids.tolist(), ordered.tolist()) == _first_appearance_oracle(labels)
 
 
@@ -163,8 +170,7 @@ def test_first_appearance_ids_match_dict_oracle_on_random_narrow_labels(table_ca
         low = lows[trial % len(lows)]
         low = I64_MAX - width + 1 if low is None else low
         labels = (low + rng.integers(0, width, count)).tolist()
-        ids, ordered = _first_appearance_ids(np.asarray(labels, dtype=np.int64))
-        assert ids.dtype == _index_dtype(count)
+        ids, ordered = _relabel(labels)
         assert (ids.tolist(), ordered.tolist()) == _first_appearance_oracle(labels)
     assert len(table_calls) == 300
 
@@ -180,7 +186,7 @@ def test_narrow_labels_with_negative_minimum_keep_nodes_prefix_order(mode, table
 
 
 @pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
-def test_build_is_the_same_on_narrow_shifted_and_spread_labels(mode, table_calls):
+def test_build_is_the_same_on_narrow_shifted_and_spread_labels(mode, table_calls, sort_calls):
     """Narrow labels, the same labels + 2**62 (table path far from zero) and
     the same labels * 2**40 (argsort path) number the nodes alike, so the
     CSR arrays are equal."""
@@ -191,12 +197,13 @@ def test_build_is_the_same_on_narrow_shifted_and_spread_labels(mode, table_calls
         edges = low + rng.integers(0, count, (count, 2))
         nodes = low + rng.permutation(count)[: int(rng.integers(0, count))]
         table_calls.clear()
+        sort_calls.clear()
         built = [
             build_graph(edges, mode=mode, nodes=nodes),
             build_graph(edges + 2**62, mode=mode, nodes=nodes + 2**62),
             build_graph(edges * 2**40, mode=mode, nodes=nodes * 2**40),
         ]
-        assert len(table_calls) == 2
+        assert len(table_calls) == 3 and len(sort_calls) == 1
         for g in built[1:]:
             assert np.array_equal(g.indptr, built[0].indptr)
             assert np.array_equal(g.indices, built[0].indices)
@@ -228,17 +235,16 @@ def test_table_path_span_bound_counts_the_prefix(
     prefix, labels, table_path, table_calls, sort_calls, monkeypatch
 ):
     """The span is taken over the prefix and the endpoints, and bounded by
-    their combined length, which also sizes the ids' dtype.  ``table_path``
-    False is the argsort path, and None neither path."""
+    their combined length, which also sizes the table's dtype.
+    ``table_path`` False is the argsort path, which numbers the ranks of
+    the distinct labels by the table, and None neither path."""
     sizes = []
     monkeypatch.setattr(graph_module, "_index_dtype", lambda n: sizes.append(n) or np.dtype(np.int64))
-    ids, ordered = _first_appearance_ids(
-        np.asarray(labels, dtype=np.int64), np.asarray(prefix, dtype=np.int64)
-    )
+    ids, ordered = _relabel(labels, prefix)
     span = max(prefix + labels) - min(prefix + labels) + 1
-    assert table_calls == ([span] if table_path else [])
+    assert table_calls == {True: [span], False: [len(set(prefix + labels))], None: []}[table_path]
     assert sort_calls == ([len(prefix) + len(labels)] if table_path is False else [])
-    assert sizes == [len(prefix) + len(labels)]
+    assert sizes == ([] if table_path is None else [len(prefix) + len(labels)])
     expected_ids, expected_order = _first_appearance_oracle(prefix + labels)
     assert (ids.tolist(), ordered.tolist()) == (expected_ids[len(prefix) :], expected_order)
 
@@ -248,8 +254,8 @@ def _build_with_concatenated_prefix(edges, mode, nodes):
     concatenated in front of the endpoints: relabel the joined array, then
     build on the ids, which an ``arange`` prefix maps to themselves."""
     flat = np.concatenate([np.asarray(nodes, dtype=np.int64), np.asarray(edges).reshape(-1)])
-    ids, labels = _first_appearance_ids(flat)
-    ids = ids[len(nodes) :].reshape(-1, 2)
+    labels = _first_appearance_ids(flat, np.empty(0, dtype=np.int64))
+    ids = flat[len(nodes) :].reshape(-1, 2)
     g = build_graph(ids, mode=mode, nodes=np.arange(len(labels)))
     assert g.node_labels.tolist() == list(range(len(labels)))
     return g, labels
@@ -257,7 +263,7 @@ def _build_with_concatenated_prefix(edges, mode, nodes):
 
 @pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
 @pytest.mark.parametrize("scale", [1, 2**40], ids=["table", "argsort"])
-def test_nodes_prefix_matches_concatenating_reference(mode, scale, table_calls):
+def test_nodes_prefix_matches_concatenating_reference(mode, scale, sort_calls):
     """Prefixes that repeat labels, hold labels absent from the edges and
     have negative minima give the arrays of the concatenating build."""
     rng = np.random.default_rng(14)
@@ -269,9 +275,9 @@ def test_nodes_prefix_matches_concatenating_reference(mode, scale, table_calls):
         edges = low + rng.integers(0, width, (k, 2))
         nodes = low + np.concatenate([[width - 1], rng.integers(0, width, extra), [0]])
         edges, nodes = edges * scale, nodes * scale
-        table_calls.clear()
+        sort_calls.clear()
         g = build_graph(edges, mode=mode, nodes=nodes)
-        assert len(table_calls) == (scale == 1)
+        assert len(sort_calls) == (scale != 1)
         ref, labels = _build_with_concatenated_prefix(edges, mode, nodes)
         assert np.array_equal(g.node_labels, labels)
         for name in ("indptr", "indices", "degrees", "node_labels"):
@@ -295,11 +301,11 @@ def test_ascending_span_prefix_numbers_labels_by_offset(
     nodes = np.arange(6, dtype=np.int64) + np.int64(low)
     for _ in range(20):
         edges = nodes[rng.integers(0, 6, (int(rng.integers(0, 12)), 2))]
-        ids, ordered = _first_appearance_ids(edges.reshape(-1), nodes)
+        ids, ordered = _relabel(edges.reshape(-1), nodes)
         g = build_graph(edges, mode=mode, nodes=nodes)
         assert table_calls == sort_calls == []
         expected_ids, expected_order = _first_appearance_oracle(nodes.tolist() + edges.reshape(-1).tolist())
-        assert ids.dtype == dtype
+        assert g.indices.dtype == dtype
         assert (ids.tolist(), ordered.tolist()) == (expected_ids[6:], expected_order)
         ref, labels = _build_with_concatenated_prefix(edges, mode, nodes)
         table_calls.clear()
@@ -324,7 +330,7 @@ def test_prefix_out_of_order_or_with_a_gap_takes_the_table_path(prefix, table_ca
     """Prefixes as long as their span but not ``low, low + 1, ...``: the
     table path maps them; the offsets would number them wrongly."""
     labels = sorted(set(prefix))
-    ids, ordered = _first_appearance_ids(np.asarray(labels, dtype=np.int64), np.asarray(prefix, dtype=np.int64))
+    ids, ordered = _relabel(labels, prefix)
     expected_ids, expected_order = _first_appearance_oracle(prefix + labels)
     assert (ids.tolist(), ordered.tolist()) == (expected_ids[len(prefix) :], expected_order)
     assert table_calls == [4]
@@ -804,16 +810,153 @@ def test_row_blocks_give_the_oracle_simple_graph_and_dump(
     offsets -= offsets.min(initial=0)
     for low in (0, I64_MAX - int(offsets.max(initial=0)), I64_MIN):
         labels = (offsets + np.int64(low)).tolist()
-        ids, ordered = _first_appearance_ids(np.asarray(labels, dtype=np.int64))
+        ids, ordered = _relabel(labels)
         assert (ids.tolist(), ordered.tolist()) == _first_appearance_oracle(labels)
     assert len(table_calls) == (3 if edges else 0)
 
 
-def test_row_sum_pass_and_table_relabel_memory_stay_bounded(table_calls):
+def _owned_pairs(edges, dtype=np.int64):
+    """``edges`` as a new ``(k, 2)`` C-ordered array that owns its data."""
+    return np.array(edges, dtype=dtype).reshape(-1, 2).copy()
+
+
+def _same_graph_arrays(g, ref):
+    for name in ("indptr", "indices", "degrees", "node_labels"):
+        assert getattr(g, name).dtype == getattr(ref, name).dtype, name
+        assert np.array_equal(getattr(g, name), getattr(ref, name)), name
+    assert (g.node_count, g.edge_count, g.mode) == (ref.node_count, ref.edge_count, ref.mode)
+
+
+@pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
+@pytest.mark.parametrize("with_nodes", [False, True], ids=["edges", "nodes"])
+@pytest.mark.parametrize("kind", ["int64", "strided", "int32", "list"])
+def test_default_build_leaves_the_edges_unchanged(kind, with_nodes, mode):
+    """Without ``overwrite_edges`` the build reads the caller's edges and
+    leaves them byte-identical: an int64 array, a strided int64 view, an
+    int32 array and a list, each after a ``nodes`` prefix or without."""
+    rng = np.random.default_rng(21)
+    base = rng.integers(-5, 40, size=(60, 2))
+    edges = {
+        "int64": base.copy(),
+        "strided": np.repeat(base, 2, axis=0)[::2],
+        "int32": base.astype(np.int32),
+        "list": base.tolist(),
+    }[kind]
+    before = np.array(edges).tobytes(), np.shape(edges)
+    nodes = [39, -5, 7] if with_nodes else None
+    g = build_graph(edges, mode=mode, nodes=nodes)
+    assert (np.array(edges).tobytes(), np.shape(edges)) == before
+    _same_graph_arrays(g, build_graph(base.tolist(), mode=mode, nodes=nodes))
+
+
+#: Labels of the ``_ROW_BLOCK_GRAPHS`` edges taking each relabel path: the
+#: table at 0 and at either int64 end, the argsort on spread labels, and
+#: the offsets of the ``nodes=range(n)`` prefix.
+_LABEL_MAPS = {
+    "table_zero": lambda e: e,
+    "table_max": lambda e: e + (I64_MAX - 29),
+    "table_min": lambda e: e + I64_MIN,
+    "argsort": lambda e: e * 2**40 - 2**62,
+    "offsets": lambda e: e,
+}
+
+
+@pytest.mark.parametrize("labels", sorted(_LABEL_MAPS))
+@pytest.mark.parametrize("budget", [1, 8, 64, None], ids=["1", "8", "64", "default"])
+@pytest.mark.parametrize("wide_ids", [False, True], ids=["index_dtype", "int64_indices"])
+def test_overwrite_build_equals_the_default_build(
+    labels, budget, wide_ids, monkeypatch, table_calls, sort_calls
+):
+    """A build in the edges' own buffer gives the arrays, dtypes included,
+    of the default build on every row-block graph and relabel path, over
+    block budgets of 1, 8 and 64 bytes and with int64 indices forced (the
+    remainders then stay in place and nothing is given back).  The consumed
+    array keeps its row count and holds the indices: shape ``(k,)`` when
+    they are int32, ``(k, 2)`` when int64."""
+    if budget is not None:
+        monkeypatch.setattr(graph_module, "_BATCH_BYTES", budget)
+    if wide_ids:
+        monkeypatch.setattr(graph_module, "_index_dtype", lambda n: np.dtype(np.int64))
+    for name, (n, edges) in _ROW_BLOCK_GRAPHS.items():
+        edges = _LABEL_MAPS[labels](np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+        nodes = range(n) if labels == "offsets" else None
+        if not len(edges) and nodes is None:
+            continue
+        for mode in (RAW_MULTISET, SIMPLE):
+            ref = build_graph(edges, mode=mode, nodes=nodes)
+            owned = _owned_pairs(edges)
+            g = build_graph(owned, mode=mode, nodes=nodes, overwrite_edges=True)
+            _same_graph_arrays(g, ref)
+            assert g.indices.dtype == (np.int64 if wide_ids else np.int32)
+            assert owned.shape == ((len(edges), 2) if wide_ids else (len(edges),)), name
+            if mode == RAW_MULTISET and len(edges):
+                assert np.shares_memory(g.indices, owned)
+    paths = {"argsort": (True, True), "offsets": (False, False)}.get(labels, (True, False))
+    assert (bool(table_calls), bool(sort_calls)) == paths
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda a: a[1:],
+        lambda a: a.reshape(-1)[::2].reshape(-1, 2),
+        np.asfortranarray,
+        _read_only,
+        lambda a: a.astype(np.int32),
+        lambda a: a.astype(">i8"),
+        lambda a: a.tolist(),
+    ],
+    ids=["view", "strided", "fortran", "read_only", "int32", "big_endian", "list"],
+)
+def test_overwrite_refuses_arrays_it_may_not_overwrite(make):
+    """A view, a strided or Fortran-order array, a read-only array, a
+    non-int64 array and a list are refused with a ValueError naming the
+    requirement, and left unchanged."""
+    edges = make(_owned_pairs([[1, 2], [2, 3], [3, 1], [4, 1]]))
+    before = np.array(edges).tobytes()
+    need = "needs a writeable C-contiguous int64 ndarray owning its data"
+    with pytest.raises(ValueError, match=f"^overwrite_edges=True {need}$"):
+        build_graph(edges, overwrite_edges=True)
+    assert np.array(edges).tobytes() == before
+
+
+@pytest.mark.parametrize(
+    "text, labels",
+    [
+        ("7 3\n", [7, 3]),
+        (
+            f"# wide\n{I64_MIN} {I64_MAX}\n{I64_MAX} 5\n5 {I64_MIN}\n{I64_MIN} {I64_MIN}\n",
+            [I64_MIN, I64_MAX, 5],
+        ),
+    ],
+    ids=["one_line", "int64_extremes"],
+)
+@pytest.mark.parametrize("mode", [RAW_MULTISET, SIMPLE])
+def test_load_graph_builds_in_the_parsed_array(text, labels, mode, tmp_path):
+    """``load_graph`` hands its parsed array to the build: a one-line file
+    (which numpy reads as one row) and a file holding both int64 extremes
+    give the graph of the default build."""
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    pairs = load_edge_file(path)
+    assert pairs.flags.owndata and pairs.flags.c_contiguous
+    g = load_graph(path, mode=mode)
+    assert g.node_labels.tolist() == labels
+    _same_graph_arrays(g, build_graph(parse_edge_lines(text.splitlines()), mode=mode))
+
+
+def test_row_sum_pass_and_table_relabel_memory_stay_bounded(table_calls, sort_calls):
     """Traced peaks on a seeded graph of 400,000 pairs over about 50,000
-    dense labels, the same on every run: the table relabel holds at most
-    1.0 times the pairs' bytes, and the row-sum pass at most 0.5 times the
-    graph's arrays."""
+    dense labels, the same on every run: a build in the pairs' own buffer
+    holds at most 1.0 times their bytes beside them through the table
+    relabel, and 1.6 times through the argsort relabel of the same pairs
+    with wide labels; the row-sum pass holds at most 0.5 times the graph's
+    arrays."""
 
     def traced_peak(call):
         tracemalloc.start()
@@ -824,10 +967,17 @@ def test_row_sum_pass_and_table_relabel_memory_stay_bounded(table_calls):
             tracemalloc.stop()
 
     pairs = np.random.default_rng(1).integers(0, 50_000, size=(400_000, 2))
-    _, peak = traced_peak(lambda: _first_appearance_ids(pairs.reshape(-1)))
-    assert len(table_calls) == 1
-    assert peak <= 1.0 * pairs.nbytes
-    g = build_graph(pairs, mode=RAW_MULTISET)
+    nbytes, wide = pairs.nbytes, pairs * 2**40
+    # tracemalloc counts the buffer's shrink as a new allocation of its
+    # lower half, as it did not trace the buffer before.
+    spread, peak = traced_peak(lambda: build_graph(wide, mode=RAW_MULTISET, overwrite_edges=True))
+    assert sort_calls == [800_000] and len(table_calls) == 1
+    assert peak <= 1.6 * nbytes
+    g, peak = traced_peak(lambda: build_graph(pairs, mode=RAW_MULTISET, overwrite_edges=True))
+    assert sort_calls == [800_000] and len(table_calls) == 2
+    assert peak <= 1.0 * nbytes
+    assert np.array_equal(spread.indices, g.indices)
+    assert np.array_equal(spread.node_labels, g.node_labels * 2**40)
     arrays = g.indptr.nbytes + g.indices.nbytes + g.degrees.nbytes + g.node_labels.nbytes
     _, peak = traced_peak(lambda: g.neighbour_degree_sums)
     assert peak <= 0.5 * arrays
