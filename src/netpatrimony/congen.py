@@ -6,10 +6,10 @@ consecutive stubs are paired.  Matching may produce self-loops and parallel
 edges; three policies handle them:
 
 * ``MULTIGRAPH`` keeps everything (degrees preserved exactly),
-* ``ERASE`` drops self-loops and collapses parallel edges (degrees may
-  shrink; isolated nodes are kept),
-* ``REJECT`` re-shuffles until the matching is already simple (its SIMPLE
-  derivation drops nothing), failing after ``max_attempts`` tries.
+* ``ERASE`` is ``build_graph``'s SIMPLE mode of the matching: self-loops
+  dropped, parallel edges collapsed (degrees may shrink; isolated nodes kept),
+* ``REJECT`` re-shuffles until that SIMPLE build drops nothing, failing
+  after ``max_attempts`` tries.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64); equal seeds
 give byte-identical graphs.  For ensembles, derive independent streams by
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import RAW_MULTISET, Graph, build_graph, simple_graph
+from .graph import RAW_MULTISET, SIMPLE, Graph, build_graph
 
 MULTIGRAPH = "MULTIGRAPH"
 ERASE = "ERASE"
@@ -287,8 +287,10 @@ def generate(
 
     Returns ``(graph, info)`` where ``info`` records only what generation
     found: the rng, the number of matching attempts and, under ERASE, how
-    many edges were removed.  The graph always contains all ``len(degrees)``
-    nodes (labelled 0..n-1), so zero-degree entries become isolated nodes.
+    many edges were removed.  MULTIGRAPH builds each matching in
+    ``build_graph``'s RAW_MULTISET mode, ERASE and REJECT in its SIMPLE mode.
+    The graph always contains all ``len(degrees)`` nodes (labelled 0..n-1),
+    so zero-degree entries become isolated nodes.
 
     Raises ValueError for negative degrees, an odd degree sum (or one of
     2^63 or more) or ``max_attempts`` below 1, and RejectionExhaustedError
@@ -307,21 +309,17 @@ def generate(
     if total % 2:
         raise ValueError(f"degree sum must be even to pair stubs, got {total}")
     nodes = np.arange(len(deg), dtype=np.int64)
+    mode = RAW_MULTISET if simple_policy == MULTIGRAPH else SIMPLE
     rng = np.random.default_rng(seed)
     info = {"rng": RNG_NAME}
 
     for attempt in range(1, (max_attempts if simple_policy == REJECT else 1) + 1):
         info["attempts"] = attempt
-        # The stub array becomes the RAW_MULTISET graph's indices.
-        raw = build_graph(_match_stubs(deg, rng), RAW_MULTISET, nodes, overwrite_edges=True)
-        if simple_policy == MULTIGRAPH:
-            return raw, info
-        # The SIMPLE derivation is exactly the erasure step.
-        g = simple_graph(raw)
+        g = build_graph(_match_stubs(deg, rng), mode, nodes, overwrite_edges=True)
+        erased = total // 2 - g.edge_count  # a RAW_MULTISET build keeps every stub pair
         if simple_policy == ERASE:
-            info["erased_edges"] = raw.edge_count - g.edge_count
+            info["erased_edges"] = erased
+        if simple_policy != REJECT or erased == 0:
             return g, info
-        if g.edge_count == raw.edge_count:  # the matching was already simple
-            return g, info
-        del raw, g  # freed before the next matching is laid out
+        del g  # freed before the next matching is laid out
     raise RejectionExhaustedError(max_attempts)

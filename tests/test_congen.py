@@ -23,6 +23,7 @@ from netpatrimony import (
     is_graphical,
     sample_degree_sequence,
 )
+from netpatrimony import congen
 from netpatrimony.congen import _match_stubs
 from netpatrimony.graph import edge_dump_lines, write_edge_dump
 
@@ -286,6 +287,25 @@ class TestGeneration:
         arrays = g.indptr.nbytes + g.indices.nbytes + g.degrees.nbytes + g.node_labels.nbytes
         _, peak = traced_peak(lambda: write_edge_dump(g, tmp_path / "edges.txt"))
         assert peak <= 1.2 * arrays
+
+    @pytest.mark.parametrize(
+        "policy, mode, builds", [(MULTIGRAPH, RAW_MULTISET, 1), (ERASE, SIMPLE, 1), (REJECT, SIMPLE, 6)]
+    )
+    def test_each_attempt_is_one_build_in_the_policys_mode(self, monkeypatch, policy, mode, builds):
+        """ERASE and REJECT are ``build_graph``'s SIMPLE mode of each matching,
+        with no derive of their own; REJECT takes 6 attempts here at seed 0."""
+        modes = []
+        build = congen.build_graph
+
+        def recorded(edges, build_mode, *args, **kwargs):
+            modes.append(build_mode)
+            return build(edges, build_mode, *args, **kwargs)
+
+        monkeypatch.setattr(congen, "build_graph", recorded)
+        g, info = generate([0, 0, 3, 3, 2, 2, 2], seed=0, simple_policy=policy)
+        assert modes == [mode] * builds
+        assert info["attempts"] == builds
+        assert g.mode == mode
 
     def test_erase_only_removes(self):
         seq = [4, 4, 3, 3, 2, 2, 1, 1]

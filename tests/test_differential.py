@@ -1,5 +1,6 @@
-"""Differential property tests: against networkx on SIMPLE graphs, and
-against ``tests/oracles.py`` on RAW_MULTISET graphs.
+"""Differential property tests: against networkx on SIMPLE graphs, against
+``tests/oracles.py`` on RAW_MULTISET graphs, and ``congen``'s ERASE and
+REJECT against ``simple_graph`` of the MULTIGRAPH matching of equal seed.
 
 networkx agrees with this package's conventions only on simple graphs: on
 a ``MultiGraph`` its neighbour degree ignores edge multiplicity and its
@@ -24,7 +25,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from netpatrimony import RAW_MULTISET, SIMPLE, assortativity, build_graph, knn_profile  # noqa: E402
+from netpatrimony import (  # noqa: E402
+    ERASE,
+    MULTIGRAPH,
+    RAW_MULTISET,
+    REJECT,
+    SIMPLE,
+    RejectionExhaustedError,
+    assortativity,
+    build_graph,
+    generate,
+    knn_profile,
+    simple_graph,
+)
 from netpatrimony.congen import is_graphical  # noqa: E402
 
 # Few examples and a fixed example order keep the tier-1 run short and
@@ -162,3 +175,23 @@ def test_multiset_assortativity_matches_oracle(graphs):
 @given(st.lists(st.integers(0, 12), max_size=14))
 def test_is_graphical_matches_networkx(degrees):
     assert is_graphical(np.array(degrees, dtype=np.int64)) == nx.is_graphical(degrees)
+
+
+@EXAMPLES
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.integers(0, 1000))
+def test_congen_erase_and_reject_are_the_simple_graph_of_the_matching(degrees, seed):
+    degrees[0] += sum(degrees) % 2
+    multi = generate(degrees, seed, MULTIGRAPH)[0]
+    expected = simple_graph(multi)
+    g, info = generate(degrees, seed, ERASE)
+    for name in ("indptr", "indices", "node_labels"):
+        got, want = getattr(g, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert info["erased_edges"] == multi.edge_count - expected.edge_count
+    try:
+        accepted = generate(degrees, seed, REJECT, max_attempts=1)[0]
+    except RejectionExhaustedError:
+        accepted = None
+    assert (accepted is not None) == (expected.edge_count == multi.edge_count)
+    if accepted is not None:
+        assert np.array_equal(accepted.indices, expected.indices)
