@@ -10,8 +10,8 @@ configuration), 2 computation error, 3 report produced no computed rows.
 Every run writes ``run_config.json`` echoing the effective configuration
 next to its outputs; no output embeds timestamps, so reruns with equal
 inputs are byte-identical.  Each command takes only the options it reads,
-but ``run_config.json`` and ``summary.json`` echo ``density_convention``,
-``scale`` and ``tolerance`` at their defaults where a command takes none.
+but ``run_config.json`` echoes ``density_convention``, ``scale`` and ``tolerance``
+(``summary.json`` the first two) at their defaults where a command takes none.
 ``summary.json`` and each computed ``report`` row take their network-level
 numbers from one routine, ``_summary``.
 
@@ -269,15 +269,8 @@ def cmd_congen(args) -> int:
     spec = cg.DegreeSequenceSpec.from_json(spec_path.read_text(encoding="utf-8"))
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    sequence = cg.sample_degree_sequence(spec)
-    # Under REJECT, fail fast with a diagnosis instead of burning shuffle attempts.
-    if spec.simple_policy == cg.REJECT and (k := cg.first_violated_prefix(sequence)) is not None:
-        raise ValueError(
-            f"sequence is not graphical; the top-{k} prefix of the "
-            "sorted sequence already exceeds its available endpoints"
-        )
     g, info = cg.generate(
-        sequence,
+        cg.sample_degree_sequence(spec),
         seed=spec.seed,
         simple_policy=spec.simple_policy,
         max_attempts=spec.max_attempts,

@@ -8,8 +8,8 @@ edges; three policies handle them:
 * ``MULTIGRAPH`` keeps everything (degrees preserved exactly),
 * ``ERASE`` is ``build_graph``'s SIMPLE mode of the matching: self-loops
   dropped, parallel edges collapsed (degrees may shrink; isolated nodes kept),
-* ``REJECT`` re-shuffles until that SIMPLE build drops nothing, failing
-  after ``max_attempts`` tries.
+* ``REJECT`` refuses a non-graphical sequence before any matching, then
+  re-shuffles until that SIMPLE build drops nothing, at most ``max_attempts`` times.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64); equal seeds
 give byte-identical graphs.  For ensembles, derive independent streams by
@@ -292,9 +292,10 @@ def generate(
     The graph always contains all ``len(degrees)`` nodes (labelled 0..n-1),
     so zero-degree entries become isolated nodes.
 
-    Raises ValueError for negative degrees, an odd degree sum (or one of
-    2^63 or more) or ``max_attempts`` below 1, and RejectionExhaustedError
-    when REJECT runs out of attempts.
+    Raises ValueError for an unknown policy, ``max_attempts`` below 1, an
+    empty sequence, negative degrees, a degree sum of 2^63 or more, under
+    REJECT a non-graphical sequence (before any matching), or an odd degree
+    sum; RejectionExhaustedError when REJECT runs out of attempts.
     """
     if simple_policy not in SIMPLE_POLICIES:
         raise ValueError(f"unknown simple policy: {simple_policy!r}")
@@ -306,6 +307,11 @@ def generate(
     if (deg < 0).any():
         raise ValueError("degrees must be non-negative")
     total = _degree_total(deg)
+    if simple_policy == REJECT and (k := first_violated_prefix(deg)) is not None:
+        raise ValueError(
+            f"sequence is not graphical; the top-{k} prefix of the "
+            "sorted sequence already exceeds its available endpoints"
+        )
     if total % 2:
         raise ValueError(f"degree sum must be even to pair stubs, got {total}")
     nodes = np.arange(len(deg), dtype=np.int64)

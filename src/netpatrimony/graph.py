@@ -243,7 +243,7 @@ def build_graph(
 
     Parameters
     ----------
-    edges : array-like of shape (k, 2)
+    edges : array-like of shape (k, 2), or empty: ``[]``, ``(0,)`` or ``(0, 2)``
         Endpoint pairs with arbitrary integer labels.
     mode : str
         RAW_MULTISET or SIMPLE (see module docstring).  Both build the
@@ -270,12 +270,11 @@ def build_graph(
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r} (expected RAW_MULTISET or SIMPLE)")
 
-    owned = isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.flags.owndata
-    if overwrite_edges and not (owned and edges.flags.c_contiguous and edges.flags.writeable):
+    pairs = _labels(edges, "edges", copy=not overwrite_edges)
+    if overwrite_edges and not (pairs is edges and edges.flags.owndata and edges.flags.writeable):
         need = "a writeable C-contiguous int64 ndarray owning its data"
         raise ValueError(f"overwrite_edges=True needs {need}")
-    pairs = edges if overwrite_edges else _labels(edges, "edges", copy=True)
-    if pairs.size == 0:
+    if pairs.shape == (0,):
         pairs.shape = (0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"edges must have shape (k, 2), got {pairs.shape}")

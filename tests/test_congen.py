@@ -288,12 +288,9 @@ class TestGeneration:
         _, peak = traced_peak(lambda: write_edge_dump(g, tmp_path / "edges.txt"))
         assert peak <= 1.2 * arrays
 
-    @pytest.mark.parametrize(
-        "policy, mode, builds", [(MULTIGRAPH, RAW_MULTISET, 1), (ERASE, SIMPLE, 1), (REJECT, SIMPLE, 6)]
-    )
-    def test_each_attempt_is_one_build_in_the_policys_mode(self, monkeypatch, policy, mode, builds):
-        """ERASE and REJECT are ``build_graph``'s SIMPLE mode of each matching,
-        with no derive of their own; REJECT takes 6 attempts here at seed 0."""
+    @pytest.fixture
+    def build_modes(self, monkeypatch):
+        """The mode of each ``build_graph`` call that ``generate`` makes."""
         modes = []
         build = congen.build_graph
 
@@ -302,8 +299,16 @@ class TestGeneration:
             return build(edges, build_mode, *args, **kwargs)
 
         monkeypatch.setattr(congen, "build_graph", recorded)
+        return modes
+
+    @pytest.mark.parametrize(
+        "policy, mode, builds", [(MULTIGRAPH, RAW_MULTISET, 1), (ERASE, SIMPLE, 1), (REJECT, SIMPLE, 6)]
+    )
+    def test_each_attempt_is_one_build_in_the_policys_mode(self, build_modes, policy, mode, builds):
+        """ERASE and REJECT are ``build_graph``'s SIMPLE mode of each matching,
+        with no derive of their own; REJECT takes 6 attempts here at seed 0."""
         g, info = generate([0, 0, 3, 3, 2, 2, 2], seed=0, simple_policy=policy)
-        assert modes == [mode] * builds
+        assert build_modes == [mode] * builds
         assert info["attempts"] == builds
         assert g.mode == mode
 
@@ -323,11 +328,38 @@ class TestGeneration:
         lines = edge_dump_lines(g)
         assert len(set(lines)) == len(lines)  # no parallel edges survived
 
-    def test_reject_exhausts_on_non_graphical(self):
+    def test_reject_exhausts_its_attempts(self):
+        # K5 is the one simple graph of these degrees; 5 matchings miss it.
         with pytest.raises(RejectionExhaustedError) as exc:
-            generate([3, 3, 1, 1], seed=0, simple_policy=REJECT, max_attempts=5)
+            generate([4, 4, 4, 4, 4], seed=0, simple_policy=REJECT, max_attempts=5)
         assert exc.value.attempts == 5
         assert "5" in str(exc.value)
+
+    @pytest.mark.parametrize("policy, builds", [(MULTIGRAPH, 1), (ERASE, 1), (REJECT, 0)])
+    def test_reject_refuses_a_non_graphical_sequence_before_any_build(self, build_modes, policy, builds):
+        """REJECT names the first violated Erdos-Gallai prefix and lays out no
+        matching; the other policies build the same sequence once."""
+        if policy == REJECT:
+            top = "the top-2 prefix of the sorted sequence already exceeds its available endpoints"
+            with pytest.raises(ValueError, match=f"^sequence is not graphical; {top}$"):
+                generate([3, 3, 1, 1], seed=0, simple_policy=policy)
+        else:
+            generate([3, 3, 1, 1], seed=0, simple_policy=policy)
+        assert len(build_modes) == builds
+
+    def test_non_graphical_check_precedes_parity_and_follows_the_sum_check(self):
+        """An odd, non-graphical sequence gets REJECT's diagnosis (the CLI's
+        error bytes), and a sum of 2^63 is refused before the prefix test."""
+        with pytest.raises(ValueError, match="top-1 prefix"):
+            generate([5, 1, 1], simple_policy=REJECT)
+        with pytest.raises(ValueError, match="even"):
+            generate([5, 1, 1], simple_policy=ERASE)
+        with pytest.raises(ValueError, match=r"less than 2\^63"):
+            generate([2**62] * 4, simple_policy=REJECT)
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="^unknown simple policy: 'BOGUS'$"):
+            generate([2, 2, 2], simple_policy="BOGUS")
 
     @pytest.mark.parametrize("policy", [MULTIGRAPH, ERASE, REJECT])
     @pytest.mark.parametrize("attempts", [0, -5])

@@ -925,6 +925,37 @@ def test_overwrite_refuses_arrays_it_may_not_overwrite(make):
     assert np.array(edges).tobytes() == before
 
 
+@pytest.mark.parametrize("shape", [(2, 0), (0, 3)])
+@pytest.mark.parametrize(
+    "dtype, overwrite", [(np.float64, False), (np.int64, False), (np.int64, True)],
+    ids=["float_copy", "int64_copy", "int64_overwrite"],
+)
+def test_empty_edges_of_another_width_are_refused(shape, dtype, overwrite):
+    """A ``(2, 0)`` or ``(0, 3)`` array holds no edge but is no edge list: both
+    paths refuse it, and the array keeps its shape."""
+    edges = np.empty(shape, dtype)
+    with pytest.raises(ValueError, match=re.escape(f"edges must have shape (k, 2), got {shape}")):
+        build_graph(edges, nodes=[1], overwrite_edges=overwrite)
+    assert edges.shape == shape
+
+
+@pytest.mark.parametrize(
+    "make, overwrite",
+    [
+        (lambda: [], False),
+        (lambda: np.empty(0), False),
+        (lambda: np.empty((0, 2)), False),
+        (lambda: np.empty(0, np.int64), True),
+        (lambda: np.empty((0, 2), np.int64), True),
+    ],
+    ids=["list", "float_0", "float_0x2", "int64_0_overwrite", "int64_0x2_overwrite"],
+)
+def test_empty_edges_give_the_nodes_graph(make, overwrite):
+    """``[]``, shape ``(0,)`` and shape ``(0, 2)`` are the empty edge list."""
+    g = build_graph(make(), nodes=[1], overwrite_edges=overwrite)
+    assert (g.node_count, g.edge_count, g.node_labels.tolist()) == (1, 0, [1])
+
+
 @pytest.mark.parametrize(
     "text, labels",
     [

@@ -61,6 +61,14 @@ def test_fresh_import_loads_no_submodule_and_lists_every_name():
     assert set(netpatrimony.__all__) <= set(names)
 
 
+def test_dir_lists_every_name_without_importing_a_submodule(monkeypatch):
+    """The same promise in this process, with the submodules unloaded."""
+    for module in [m for m in sys.modules if m.startswith("netpatrimony.")]:
+        monkeypatch.delitem(sys.modules, module)
+    assert set(netpatrimony.__all__) <= set(dir(netpatrimony))
+    assert [m for m in sys.modules if m.startswith("netpatrimony.")] == []
+
+
 #: Prints the exit code and the modules the command loaded beyond those of
 #: ``import numpy`` (numpy 1.x loads ``numpy.random`` there, numpy 2 on first use).
 _COMMAND_MODULES = """

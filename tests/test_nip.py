@@ -60,6 +60,14 @@ def test_ip_requires_edges():
         ip(g)
 
 
+@pytest.mark.parametrize("score", [nip_node_correlated, nip_class])
+def test_scores_refuse_an_unknown_scale_and_an_edgeless_graph(score, six_node_simple):
+    with pytest.raises(ValueError, match="^unknown scale: 'BOGUS'"):
+        score(six_node_simple, scale="BOGUS")
+    with pytest.raises(ValueError, match="^nip is undefined for a graph with no edges$"):
+        score(build_graph([], nodes=[1, 2]))
+
+
 def test_complete_graph_law(complete5):
     shares = ip(complete5)
     assert shares.tolist() == [1 / 5] * 5
