@@ -101,8 +101,7 @@ def _cell_table(column) -> tuple[np.ndarray, np.ndarray | None]:
         cells, inner = _cell_table(column[0])
         return (cells if inner is None else cells[inner]), column[1]
     if isinstance(column, np.ndarray) and column.dtype.kind == "i":
-        text, w = graph._label_text(column.astype(np.int64, copy=False))
-        return text[:, :w].view(f"S{w}")[:, 0], None
+        return graph._label_text(column.astype(np.int64, copy=False)), None
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         bits, codes = np.unique(column.view(np.int64), return_inverse=True)
         cells = np.array(list(map("%.6g".__mod__, bits.view(float).tolist())), dtype="S")

@@ -249,8 +249,8 @@ def sample_degree_sequence(spec: DegreeSequenceSpec) -> np.ndarray:
     """Materialize the degree sequence described by ``spec``.
 
     EXPLICIT sequences pass through untouched.  Parametric draws use the
-    spec's seed; if the drawn sum is odd, one uniformly chosen entry is
-    redrawn until the total is even, so the result is always pairable.
+    spec's seed; while the sum is odd, one uniformly chosen entry is
+    redrawn, and RuntimeError is raised if ``_PARITY_ATTEMPTS`` leave it odd.
     """
     if spec.source == EXPLICIT:
         return np.asarray(spec.degrees, dtype=np.int64)
@@ -262,9 +262,9 @@ def sample_degree_sequence(spec: DegreeSequenceSpec) -> np.ndarray:
             return seq
         pos = int(rng.integers(spec.n))
         seq[pos] = draw(rng, 1)[0]
-    raise RuntimeError(
-        f"could not reach an even degree sum after {_PARITY_ATTEMPTS} redraws"
-    )
+    if int(seq.sum()) % 2:
+        raise RuntimeError(f"could not reach an even degree sum after {_PARITY_ATTEMPTS} redraws")
+    return seq
 
 
 def _match_stubs(degrees: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -506,15 +506,14 @@ _BATCH_BYTES = 1 << 17
 _POWERS_OF_TEN = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 
 
-def _label_text(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each int64 label's decimal text, left-aligned and NUL-padded, as an
-    ``(n, 8 * ceil(w / 8))`` uint8 matrix, and ``w``, the longest text's
-    length.  The first ``w`` columns equal ``labels.astype(f"S{w}")``.
+def _label_text(labels: np.ndarray) -> np.ndarray:
+    """Each int64 label's decimal text as the ``S{w}`` array that
+    ``labels.astype(f"S{w}")`` gives, ``w`` the longest text's length.
 
     Digits are cut off the uint64 magnitude from the right, one vectorized
-    pass per digit over the labels that still have one.  Every operand is
-    a uint64 array or scalar: numpy 1.x computes uint64 mixed with a
-    signed value in float64.
+    pass per digit over the labels that still have one, into one ``(n, w)``
+    byte matrix.  Every operand is a uint64 array or scalar: numpy 1.x
+    computes uint64 mixed with a signed value in float64.
     """
     count = len(labels)
     negative = labels < 0
@@ -525,10 +524,9 @@ def _label_text(labels: np.ndarray) -> tuple[np.ndarray, int]:
     pos = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right")
     pos += negative
     w = int(pos.max(initial=0)) + 1
-    width = -(-w // 8) * 8
-    text = np.zeros((count, width), dtype=np.uint8)
+    text = np.zeros((count, w), dtype=np.uint8)
     text[negative, 0] = ord("-")
-    pos += np.arange(0, count * width, width)
+    pos += np.arange(0, count * w, w)
     flat = text.reshape(-1)
     ten, zero = np.uint64(10), np.uint64(ord("0"))
     while len(magnitude):
@@ -540,7 +538,7 @@ def _label_text(labels: np.ndarray) -> tuple[np.ndarray, int]:
         magnitude = quotient[more]
         pos = pos[more]
         pos -= 1
-    return text, w
+    return text.view(f"S{w}")[:, 0]
 
 
 def _write_rows(fh, widths: list[int], rows: int, gather, sep: bytes, end: bytes) -> None:
@@ -570,28 +568,23 @@ def _write_rows(fh, widths: list[int], rows: int, gather, sep: bytes, end: bytes
         fh.write(lines[:k][mask[:k]])
 
 
-def _text_order(text: np.ndarray) -> np.ndarray:
-    """The row order of a uint8 matrix of ``8 * k`` columns sorted bytewise:
-    its rows read as k big-endian uint64 words compare like their bytes."""
-    return np.lexsort(text.view(">u8").T[::-1])
-
-
 def _write_dump(g: Graph, fh) -> None:
     """Write the edge dump of ``g`` to the binary file ``fh``: each edge once
     as ``b"<u>\\t<v>\\n"`` of original labels, with u's internal index not
     greater than v's, the lines sorted bytewise.  Each label is formatted
     once, and beside the graph only one int64 sort key per edge is held
     whole; the keys are built in row blocks (``_row_blocks``) and the lines
-    written in batches (``_write_rows``)."""
-    # Decimal text holds no NUL byte, so the padded texts sort like the
+    written in batches (``_write_rows``).  The labels are put in text order
+    by one stable argsort of their ``S`` array (``_label_text``)."""
+    # Decimal text holds no NUL byte, so the NUL-padded texts sort like the
     # texts themselves.
     n = g.node_count
-    text, w = _label_text(g.node_labels)
-    by_text = _text_order(text)
+    text = _label_text(g.node_labels)
+    by_text = np.argsort(text, kind="stable")
     dtype = g.indices.dtype
     text_rank = np.empty(n, dtype=dtype)
     text_rank[by_text] = np.arange(n, dtype=dtype)
-    text = text[by_text, :w].view(f"S{w}")[:, 0]
+    text = text[by_text]
     del by_text
     # The tab sorts below every character of an integer label, so the line
     # order is the order of (text(u), text(v)): sort the edges by the text
@@ -615,7 +608,7 @@ def _write_dump(g: Graph, fh) -> None:
         u, v = np.divmod(key[lo:hi], n)
         return text[u], text[v]
 
-    _write_rows(fh, [w, w], len(key), gather, b"\t", b"\n")
+    _write_rows(fh, [text.itemsize] * 2, len(key), gather, b"\t", b"\n")
 
 
 def edge_dump_lines(g: Graph) -> list[str]:

@@ -100,6 +100,11 @@ SPECS = {
         "params": {"degrees": [3, 3, 1, 1]},
         "simple_policy": "REJECT",
     },
+    # Every draw is 1, so no redraw makes n = 3 degrees even: exit 2.
+    "parity_exhausted": {
+        "source": "POWERLAW",
+        "params": {"exponent": 50, "min_degree": 1, "n": 3},
+    },
 }
 SPEC_FILES = {f"{name}.json": json.dumps(spec).encode() for name, spec in SPECS.items()}
 

@@ -189,6 +189,24 @@ def realizable_sequences(max_len, max_degree):
     return realizable
 
 
+def simple_realizations(degrees):
+    """Every simple graph on nodes 0..n-1 whose node i has degree
+    ``degrees[i]``, each as a tuple of its m edges (u, v) with u < v:
+    the m-edge subsets of the n(n-1)/2 possible edges that realize the
+    degrees, in the order ``combinations`` gives them."""
+    degrees = [int(d) for d in degrees]
+    pool = list(combinations(range(len(degrees)), 2))
+    found = []
+    for edges in combinations(pool, sum(degrees) // 2):
+        deg = [0] * len(degrees)
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+        if deg == degrees:
+            found.append(edges)
+    return found
+
+
 def csv_cell(value) -> str:
     """CSV cell text: %.6g for floats, empty for NaN, str otherwise."""
     if isinstance(value, float):

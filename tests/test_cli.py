@@ -671,6 +671,16 @@ class TestCongenCommand:
         assert main(["congen", str(spec), "--output-dir", str(tmp_path / "o")]) == 1
         assert "not graphical" in capsys.readouterr().err
 
+    def test_parity_exhaustion_exits_2(self, tmp_path, capsys):
+        spec = self.write_spec(
+            tmp_path,
+            {"source": "POWERLAW", "params": {"exponent": 50, "min_degree": 1, "n": 3}},
+        )
+        out = tmp_path / "o"
+        assert main(["congen", str(spec), "--output-dir", str(out)]) == 2
+        assert "could not reach an even degree sum" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("policy", ["MULTIGRAPH", "REJECT"])
     def test_odd_sum_is_input_error(self, tmp_path, capsys, policy):
         spec = self.write_spec(

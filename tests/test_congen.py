@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -59,6 +60,45 @@ class TestGraphical:
             k = int(rng.integers(1, 6))
             seq = tuple(sorted(rng.integers(0, 5, size=k).tolist(), reverse=True))
             assert is_graphical(seq) == (seq in realizable), seq
+
+
+class TestExactEnsemble:
+    """``oracles.simple_realizations`` enumerates a small sequence's simple
+    graphs; REJECT draws them uniformly."""
+
+    @pytest.mark.parametrize(
+        "degrees, count",
+        [((1, 1, 1, 1), 3), ((2, 2, 2), 1), ((3, 3, 3, 3), 1), ((4, 3, 3, 2, 2, 2), 27)],
+    )
+    def test_realization_counts(self, degrees, count):
+        realizations = oracles.simple_realizations(degrees)
+        assert len(realizations) == len(set(realizations)) == count
+
+    def test_realizations_exist_exactly_when_graphical(self):
+        checked = 0
+        for n in range(1, 6):
+            for seq in itertools.product(range(n), repeat=n):
+                if sum(seq) % 2 == 0 and sum(seq):
+                    assert bool(oracles.simple_realizations(seq)) == is_graphical(seq), seq
+                    checked += 1
+        assert checked == 1_703
+
+    def test_reject_is_uniform_over_the_realizations(self):
+        """K = 1,350 REJECT draws of (4, 3, 3, 2, 2, 2), 50 expected per
+        realization; the chi-square bound 54.05 is df = 26 at alpha = 0.001.
+        A matching is simple with probability 0.092, so the default 100
+        attempts exhaust with probability 0.908**100 = 6e-5 a seed, about 8%
+        over the 1,350 seeds; 1,000 attempts are allowed instead."""
+        degrees = (4, 3, 3, 2, 2, 2)
+        counts = dict.fromkeys(oracles.simple_realizations(degrees), 0)
+        draws = 1_350
+        for seed in range(draws):
+            g, _ = generate(degrees, seed=seed, simple_policy=REJECT, max_attempts=1_000)
+            counts[tuple(sorted((min(e), max(e)) for e in oracles.edges_by_row(g)))] += 1
+        assert len(counts) == 27  # no draw outside the enumeration
+        expected = draws / len(counts)
+        chi_square = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi_square < 54.05, (chi_square, counts)
 
 
 class TestSpec:
@@ -179,6 +219,30 @@ class TestSampling:
             done += 1
         assert done == redraws
         assert np.array_equal(sample_degree_sequence(spec), expected)
+
+    @pytest.mark.parametrize("seed", [1, 10, 12, 18, 19])
+    def test_the_last_parity_redraw_is_checked(self, monkeypatch, seed):
+        """A redraw that makes the sum even is kept even when it is the last
+        one allowed; these seeds need exactly one, so the bytes are the
+        default's."""
+        spec = DegreeSequenceSpec.poisson(2.0, 11, seed=seed)
+        expected = sample_degree_sequence(spec)
+        monkeypatch.setattr(congen, "_PARITY_ATTEMPTS", 1)
+        seq = sample_degree_sequence(spec)
+        assert int(seq.sum()) % 2 == 0
+        assert np.array_equal(seq, expected)
+
+    @pytest.mark.parametrize("seed", [4, 5, 7, 11, 14])
+    def test_an_odd_sum_after_the_last_redraw_raises(self, monkeypatch, seed):
+        monkeypatch.setattr(congen, "_PARITY_ATTEMPTS", 1)
+        with pytest.raises(RuntimeError, match="even degree sum after 1 redraws"):
+            sample_degree_sequence(DegreeSequenceSpec.poisson(2.0, 11, seed=seed))
+
+    def test_parity_exhaustion_raises(self):
+        # Degree 2 has weight 2**-50 against degree 1, so every draw is 1.
+        spec = DegreeSequenceSpec.power_law(50, 1, 3)
+        with pytest.raises(RuntimeError, match="could not reach an even degree sum after 1000"):
+            sample_degree_sequence(spec)
 
     def test_power_law_tail_exponent(self):
         # The complementary CDF of a d^-gamma sample should fall on a
