@@ -47,8 +47,8 @@ class RejectionExhaustedError(RuntimeError):
 
     def __init__(self, attempts: int):
         super().__init__(
-            f"no simple stub matching found in {attempts} attempts; the "
-            "sequence may not be graphical or is dominated by a few huge degrees"
+            f"no simple stub matching found in {attempts} attempts of a graphical "
+            "sequence; the ERASE policy or a larger max_attempts avoids this error"
         )
         self.attempts = attempts
 

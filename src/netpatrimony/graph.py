@@ -10,10 +10,10 @@ under one of two preprocessing modes:
     arithmetic of treating a directed edge dump as a plain line count.
 
 ``SIMPLE``
-    Derived from the RAW_MULTISET graph by ``simple_graph``: its adjacency
-    with the self-loop entries removed and repeated neighbour entries
-    collapsed, so a repeated line and its reversed line both become one
-    edge: a simple undirected graph.
+    The RAW_MULTISET adjacency (see ``simple_graph``) with the self-loop
+    entries removed and repeated neighbour entries collapsed, so a repeated
+    line and its reversed line both become one edge: a simple undirected
+    graph.
 
 Node identifiers in the input may be arbitrary (non-contiguous) integers;
 they are mapped to contiguous internal indices ``0..n-1`` in order of first
@@ -75,11 +75,11 @@ class Graph:
         ``indices[indptr[i]:indptr[i+1]]``, in ascending order.  Both
         endpoints of every edge are stored, and a self-loop appears twice
         in its node's row, so ``len(indices) == 2 * edge_count`` and row
-        lengths equal degrees.  A SIMPLE graph's arrays are derived from
-        the RAW_MULTISET ones (``simple_graph``): self-loop entries dropped
-        and each repeated entry of a row kept once.  Construction sorts
-        packed ``i*n + j`` int64 keys in the edge buffer, which then holds
-        ``indices``; this needs ``n**2 < 2**63`` (n below about 3.04e9).
+        lengths equal degrees.  Construction sorts packed ``i*n + j``
+        int64 keys in the edge buffer, which then holds ``indices``; this
+        needs ``n**2 < 2**63`` (n below about 3.04e9).  A SIMPLE graph's
+        entries are the RAW_MULTISET ones less the self-loop entries and
+        each row's repeats (``simple_graph``), compacted in that buffer.
         ``indices`` is int32 when ``n < 2**31`` and int64 otherwise;
         ``indptr`` is always int64.
     degrees : np.ndarray
@@ -247,7 +247,7 @@ def build_graph(
         Endpoint pairs with arbitrary integer labels.
     mode : str
         RAW_MULTISET or SIMPLE (see module docstring).  Both build the
-        RAW_MULTISET graph; SIMPLE returns ``simple_graph`` of it.
+        RAW_MULTISET CSR; SIMPLE then compacts its entries in place.
     nodes : optional sequence of labels
         Extra node labels to register before the edge endpoints, in the
         given order.  Lets callers keep isolated nodes; required when
@@ -256,8 +256,8 @@ def build_graph(
         False builds in an int64 copy of ``edges``.  True builds in
         ``edges`` itself, a C-contiguous int64 ndarray that owns its
         writeable data and that no other array views: it becomes the
-        RAW_MULTISET graph's ``indices`` buffer, resized in place to shape
-        ``(k,)`` when they are int32.
+        graph's ``indices`` buffer, resized in place to the m edges, shape
+        ``(m,)`` when they are int32 and ``(m, 2)`` when int64.
 
     Raises
     ------
@@ -286,12 +286,14 @@ def build_graph(
     labels = _first_appearance_ids(pairs.reshape(-1), extra)
     dtype = _index_dtype(len(labels))
     indptr = _sort_packed_pairs(pairs, len(labels), dtype)
+    # Each resize gives back the buffer's tail.  The array object changes in place, so
+    # plain references see the new shape; only a view could dangle, and none outlives its call.
     if dtype.itemsize < pairs.itemsize:
-        # Gives back the upper half.  The array object changes in place, so plain
-        # references see the new shape; only a view could dangle, and none exists.
         pairs.resize((len(pairs),), refcheck=False)
-    raw = _csr_graph(indptr, pairs.reshape(-1).view(dtype), labels, RAW_MULTISET)
-    return raw if mode == RAW_MULTISET else simple_graph(raw)
+    if mode == SIMPLE:
+        indptr = _simple_entries(indptr, pairs.reshape(-1).view(dtype))
+        pairs.resize((indptr[-1] // 2, *pairs.shape[1:]), refcheck=False)
+    return _csr_graph(indptr, pairs.reshape(-1).view(dtype), labels, mode)
 
 
 def _sort_packed_pairs(pairs: np.ndarray, n: int, dtype: np.dtype) -> np.ndarray:
@@ -322,22 +324,32 @@ def simple_graph(g: Graph) -> Graph:
 
     Node ids and labels are unchanged, so nodes left without an edge stay
     as isolated nodes.  Applied to a SIMPLE graph it returns an equal one.
-    The keep mask is built over ``_row_blocks``, so beside the two graphs
-    only one byte per entry is held.
+    The kept entries are compacted by ``_simple_entries`` in a new array, as
+    ``g`` is left whole.
     """
-    keep = np.empty(len(g.indices), dtype=bool)
-    # The blocks cover every row, so each count is set.
-    dropped = np.empty(g.node_count, dtype=np.int64)
-    for lo, hi, row in _row_blocks(g):
-        a, b = g.indptr[lo], g.indptr[hi]
-        entries, kept = g.indices[a:b], keep[a:b]
-        np.not_equal(entries, row, out=kept)
+    indices = g.indices.copy()
+    indptr = _simple_entries(g.indptr, indices)
+    indices.resize(indptr[-1], refcheck=False)  # nothing views it
+    return _csr_graph(indptr, indices, g.node_labels, SIMPLE)
+
+
+def _simple_entries(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Move the SIMPLE entries (see ``simple_graph``) of the RAW_MULTISET CSR
+    ``(indptr, indices)`` to the front of ``indices``, in order, and return
+    their ``indptr``.  The keep mask is built over the blocks of
+    ``_row_bounds``, so only one block is held beside the arrays."""
+    bounds = _row_bounds(indptr)
+    kept = np.zeros_like(indptr)
+    for lo, hi in zip(bounds, bounds[1:]):
+        row = np.repeat(np.arange(lo, hi, dtype=indices.dtype), np.diff(indptr[lo : hi + 1]))
+        entries = indices[indptr[lo] : indptr[hi]]
+        keep = entries != row
         # A row's entries ascend, so each repeat directly follows an equal entry.
-        kept[1:] &= (entries[1:] != entries[:-1]) | (row[1:] != row[:-1])
-        dropped[lo:hi] = np.bincount(row[~kept] - lo, minlength=hi - lo)
-    indptr = np.zeros(g.node_count + 1, dtype=np.int64)
-    np.cumsum(g.degrees - dropped, out=indptr[1:])
-    return _csr_graph(indptr, g.indices[keep], g.node_labels, SIMPLE)
+        keep[1:] &= (entries[1:] != entries[:-1]) | (row[1:] != row[:-1])
+        kept[lo + 1 : hi + 1] = kept[lo] + np.cumsum(np.bincount(row[keep] - lo, minlength=hi - lo))
+        # The kept entries are copied out before any is written, never past its own slot.
+        indices[kept[lo] : kept[hi]] = entries[keep]
+    return kept
 
 
 def _row_bounds(indptr: np.ndarray) -> list[int]:
@@ -350,15 +362,6 @@ def _row_bounds(indptr: np.ndarray) -> list[int]:
     # The first row ending at or past each multiple of the block size: 1..n.
     cuts = np.searchsorted(indptr, np.arange(size, indptr[-1], size)).tolist()
     return [0, *sorted(set(cuts) - {n}), n]
-
-
-def _row_blocks(g: Graph):
-    """Yield ``(lo, hi, row)`` for each block of ``_row_bounds(g.indptr)``:
-    rows ``lo .. hi - 1``, and the row of each of their entries
-    ``indptr[lo] .. indptr[hi] - 1``."""
-    bounds = _row_bounds(g.indptr)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        yield lo, hi, np.repeat(np.arange(lo, hi, dtype=g.indices.dtype), g.degrees[lo:hi])
 
 
 def _csr_graph(indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray, mode: str) -> Graph:
@@ -510,34 +513,35 @@ def _label_text(labels: np.ndarray) -> np.ndarray:
     """Each int64 label's decimal text as the ``S{w}`` array that
     ``labels.astype(f"S{w}")`` gives, ``w`` the longest text's length.
 
-    Digits are cut off the uint64 magnitude from the right, one vectorized
-    pass per digit over the labels that still have one, into one ``(n, w)``
-    byte matrix.  Every operand is a uint64 array or scalar: numpy 1.x
-    computes uint64 mixed with a signed value in float64.
+    Digits are cut off the uint64 magnitudes of each block of labels from
+    the right, one vectorized pass per digit over those that still have one,
+    into one ``(n, w)`` byte matrix.  Every operand is a uint64 array or
+    scalar: numpy 1.x computes uint64 mixed with a signed value in float64.
     """
-    count = len(labels)
-    negative = labels < 0
-    magnitude = labels.astype(np.uint64)
-    # Two's complement: -label modulo 2**64, exact for -2**63 too.
-    np.negative(magnitude, out=magnitude, where=negative)
-    # The column of each text's last digit, then its flat position.
-    pos = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right")
-    pos += negative
-    w = int(pos.max(initial=0)) + 1
-    text = np.zeros((count, w), dtype=np.uint8)
-    text[negative, 0] = ord("-")
-    pos += np.arange(0, count * w, w)
-    flat = text.reshape(-1)
+    # The longest text is the least or the greatest label's.
+    w = max(len(str(x)) for x in (labels.min(initial=0), labels.max(initial=0)))
+    text = np.zeros((len(labels), w), dtype=np.uint8)
     ten, zero = np.uint64(10), np.uint64(ord("0"))
-    while len(magnitude):
-        quotient = magnitude // ten
-        magnitude -= quotient * ten
-        magnitude += zero
-        flat[pos] = magnitude
-        more = quotient.astype(bool)
-        magnitude = quotient[more]
-        pos = pos[more]
-        pos -= 1
+    size = max(1, _BATCH_BYTES // 8)
+    for lo in range(0, len(labels), size):
+        block, rows = labels[lo : lo + size], text[lo : lo + size]
+        negative, magnitude = block < 0, block.astype(np.uint64)
+        # Two's complement: -label modulo 2**64, exact for -2**63 too.
+        np.negative(magnitude, out=magnitude, where=negative)
+        rows[negative, 0] = ord("-")
+        # The flat position in ``rows`` of each text's last digit.
+        pos = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + negative
+        pos += np.arange(0, len(block) * w, w)
+        flat = rows.reshape(-1)
+        while len(magnitude):
+            quotient = magnitude // ten
+            magnitude -= quotient * ten
+            magnitude += zero
+            flat[pos] = magnitude
+            more = quotient.astype(bool)
+            magnitude = quotient[more]
+            pos = pos[more]
+            pos -= 1
     return text.view(f"S{w}")[:, 0]
 
 
@@ -572,43 +576,39 @@ def _write_dump(g: Graph, fh) -> None:
     """Write the edge dump of ``g`` to the binary file ``fh``: each edge once
     as ``b"<u>\\t<v>\\n"`` of original labels, with u's internal index not
     greater than v's, the lines sorted bytewise.  Each label is formatted
-    once, and beside the graph only one int64 sort key per edge is held
-    whole; the keys are built in row blocks (``_row_blocks``) and the lines
-    written in batches (``_write_rows``).  The labels are put in text order
-    by one stable argsort of their ``S`` array (``_label_text``)."""
+    once (``_label_text``) and put in text order by one stable argsort.  The
+    rows are taken in that order, cut by ``_row_bounds``, and each block's
+    edges are sorted and written (``_write_rows``) on their own, so beside
+    the graph only one block and a few arrays of one item per node are held."""
     # Decimal text holds no NUL byte, so the NUL-padded texts sort like the
     # texts themselves.
     n = g.node_count
     text = _label_text(g.node_labels)
     by_text = np.argsort(text, kind="stable")
-    dtype = g.indices.dtype
-    text_rank = np.empty(n, dtype=dtype)
-    text_rank[by_text] = np.arange(n, dtype=dtype)
+    text_rank = np.empty(n, dtype=g.indices.dtype)
+    text_rank[by_text] = np.arange(n, dtype=text_rank.dtype)
     text = text[by_text]
-    del by_text
+    starts = np.concatenate([[0], np.cumsum(g.degrees[by_text])])
     # The tab sorts below every character of an integer label, so the line
     # order is the order of (text(u), text(v)): sort the edges by the text
-    # rank of each endpoint's label instead of sorting the lines.  The keys
-    # are filled over ``_row_blocks``; each edge is kept once: the entries
-    # above the diagonal and every second one on it (a self-loop fills two
-    # adjacent slots of its row, and a block holds whole rows).
-    key = np.empty(g.edge_count, dtype=np.int64)
-    end = 0
-    for lo, hi, row in _row_blocks(g):
-        entries = g.indices[g.indptr[lo] : g.indptr[hi]]
+    # rank of each endpoint's label instead of sorting the lines.  A block
+    # holds whole rows, of text ranks lo .. hi - 1, so its keys lie below the
+    # next block's.  Each edge is kept once: the entries above the diagonal
+    # and every second one on it (a self-loop fills two adjacent slots).
+    bounds = _row_bounds(starts)
+    for lo, hi in zip(bounds, bounds[1:]):
+        lengths, rows = np.diff(starts[lo : hi + 1]), by_text[lo:hi]
+        rank, row = np.repeat(np.arange(lo, hi), lengths), np.repeat(rows, lengths)
+        at = np.repeat(g.indptr[rows] - starts[lo:hi], lengths) + np.arange(starts[lo], starts[hi])
+        entries = g.indices[at]
         keep = entries > row
         keep[np.flatnonzero(entries == row)[::2]] = True
-        start, end = end, end + np.count_nonzero(keep)
-        np.multiply(text_rank[row[keep]], n, out=key[start:end], dtype=np.int64)
-        key[start:end] += text_rank[entries[keep]]
-    del text_rank
-    key.sort()
-
-    def gather(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        u, v = np.divmod(key[lo:hi], n)
-        return text[u], text[v]
-
-    _write_rows(fh, [text.itemsize] * 2, len(key), gather, b"\t", b"\n")
+        rank = rank[keep]
+        key = rank * n + text_rank[entries[keep]]
+        del row, at, entries, keep  # freed before the lines are assembled
+        key.sort()  # ``rank`` ascends, so it still holds each key's u
+        u, v = text[rank], text[key - rank * n]
+        _write_rows(fh, [text.itemsize] * 2, len(key), lambda a, b: (u[a:b], v[a:b]), b"\t", b"\n")
 
 
 def edge_dump_lines(g: Graph) -> list[str]:

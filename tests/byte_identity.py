@@ -100,6 +100,14 @@ SPECS = {
         "params": {"degrees": [3, 3, 1, 1]},
         "simple_policy": "REJECT",
     },
+    # A hub of 40,000 stubs: its SIMPLE row (20,022 entries at seed 3) is longer than
+    # a row block of 16,384 entries, and the SIMPLE derive and the dump span 4 blocks.
+    "star": {
+        "source": "EXPLICIT",
+        "params": {"degrees": [40_000] + [1] * 40_000},
+        "seed": 3,
+        "simple_policy": "ERASE",
+    },
     # Every draw is 1, so no redraw makes n = 3 degrees even: exit 2.
     "parity_exhausted": {
         "source": "POWERLAW",

@@ -761,7 +761,7 @@ class TestEdgeDump:
             assert once == again
 
 
-#: RAW_MULTISET graphs on labels 0..n-1 whose rows stress ``_row_blocks``:
+#: RAW_MULTISET graphs on labels 0..n-1 whose rows stress the row blocks of ``_row_bounds``:
 #: (n, edges).
 _ROW_BLOCK_GRAPHS = {
     # Rows 0-2 and 6-9 are empty.
@@ -780,23 +780,23 @@ def test_row_blocks_give_the_oracle_simple_graph_and_dump(
 ):
     """Blocks of one row (budgets 1 and 8 give one entry per block, so
     never more than one row with entries), of a few rows, and of all rows
-    cover every row in order; ``simple_graph``, the neighbour-degree sums
-    and the edge dump built over them equal the dense oracle and the
-    row-by-row dump.  The table relabel, whose label blocks have the same
-    budget, numbers the edge labels like the dict oracle when their span
-    starts at 0, ends at 2**63 - 1 or starts at -2**63."""
+    cover every row in order; ``simple_graph``, the SIMPLE build in its own
+    buffer, the neighbour-degree sums and the edge dump built over them
+    equal the dense oracle and the row-by-row dump.  The table relabel,
+    whose label blocks have the same budget, numbers the edge labels like
+    the dict oracle when their span starts at 0, ends at 2**63 - 1 or
+    starts at -2**63."""
     if budget is not None:
         monkeypatch.setattr(graph_module, "_BATCH_BYTES", budget)
     n, edges = _ROW_BLOCK_GRAPHS[name]
     raw = build_graph(edges, mode=RAW_MULTISET, nodes=range(n))
-    blocks = list(graph_module._row_blocks(raw))
-    assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
-    assert blocks[-1][1] == n
-    rows = [i for i in range(n) for _ in range(int(raw.degrees[i]))]
-    assert [i for *_, row in blocks for i in row.tolist()] == rows
+    bounds = graph_module._row_bounds(raw.indptr)
+    assert bounds[0] == 0 and bounds[-1] == n and bounds == sorted(set(bounds))
     if budget in (1, 8):
-        assert all(len(set(row.tolist())) <= 1 for *_, row in blocks)
-    for g, multiset in ((raw, True), (simple_graph(raw), False)):
+        assert all(np.count_nonzero(raw.degrees[lo:hi]) <= 1 for lo, hi in zip(bounds, bounds[1:]))
+    simple = simple_graph(raw)
+    _same_graph_arrays(build_graph(edges, mode=SIMPLE, nodes=range(n)), simple)
+    for g, multiset in ((raw, True), (simple, False)):
         a = oracles.adjacency_matrix(edges, n, multiset)
         assert g.degrees.tolist() == oracles.degrees_of(a)
         assert g.edge_count == oracles.edge_count_of(a)
@@ -871,9 +871,10 @@ def test_overwrite_build_equals_the_default_build(
     """A build in the edges' own buffer gives the arrays, dtypes included,
     of the default build on every row-block graph and relabel path, over
     block budgets of 1, 8 and 64 bytes and with int64 indices forced (the
-    remainders then stay in place and nothing is given back).  The consumed
-    array keeps its row count and holds the indices: shape ``(k,)`` when
-    they are int32, ``(k, 2)`` when int64."""
+    remainders then stay in place).  The consumed array holds the indices,
+    cut to the graph's m edges (all k pairs under RAW_MULTISET, the kept
+    ones under SIMPLE): shape ``(m,)`` when they are int32, ``(m, 2)`` when
+    int64."""
     if budget is not None:
         monkeypatch.setattr(graph_module, "_BATCH_BYTES", budget)
     if wide_ids:
@@ -889,8 +890,9 @@ def test_overwrite_build_equals_the_default_build(
             g = build_graph(owned, mode=mode, nodes=nodes, overwrite_edges=True)
             _same_graph_arrays(g, ref)
             assert g.indices.dtype == (np.int64 if wide_ids else np.int32)
-            assert owned.shape == ((len(edges), 2) if wide_ids else (len(edges),)), name
-            if mode == RAW_MULTISET and len(edges):
+            m = g.edge_count
+            assert owned.shape == ((m, 2) if wide_ids else (m,)), name
+            if m:
                 assert np.shares_memory(g.indices, owned)
     paths = {"argsort": (True, True), "offsets": (False, False)}.get(labels, (True, False))
     assert (bool(table_calls), bool(sort_calls)) == paths
@@ -982,13 +984,17 @@ def test_load_graph_builds_in_the_parsed_array(text, labels, mode, tmp_path):
     _same_graph_arrays(g, build_graph(parse_edge_lines(text.splitlines()), mode=mode))
 
 
-def test_row_sum_pass_and_table_relabel_memory_stay_bounded(table_calls, sort_calls):
+def test_row_sum_pass_and_table_relabel_memory_stay_bounded(table_calls, sort_calls, tmp_path):
     """Traced peaks on a seeded graph of 400,000 pairs over about 50,000
     dense labels, the same on every run: a build in the pairs' own buffer
     holds at most 1.0 times their bytes beside them through the table
     relabel, and 1.6 times through the argsort relabel of the same pairs
     with wide labels; the row-sum pass holds at most 0.5 times the graph's
-    arrays."""
+    arrays.  A SIMPLE build in the pairs' own buffer also holds at most 1.0
+    times their bytes (the SIMPLE entries are compacted in that buffer),
+    and the edge dump of its graph at most 6 bytes per edge: it holds no
+    sort key per edge, only one row block and a few arrays of one item per
+    label, and this graph has 8 edges per label."""
 
     def traced_peak(call):
         tracemalloc.start()
@@ -999,7 +1005,7 @@ def test_row_sum_pass_and_table_relabel_memory_stay_bounded(table_calls, sort_ca
             tracemalloc.stop()
 
     pairs = np.random.default_rng(1).integers(0, 50_000, size=(400_000, 2))
-    nbytes, wide = pairs.nbytes, pairs * 2**40
+    nbytes, wide, owned = pairs.nbytes, pairs * 2**40, pairs.copy()
     # tracemalloc counts the buffer's shrink as a new allocation of its
     # lower half, as it did not trace the buffer before.
     spread, peak = traced_peak(lambda: build_graph(wide, mode=RAW_MULTISET, overwrite_edges=True))
@@ -1013,3 +1019,8 @@ def test_row_sum_pass_and_table_relabel_memory_stay_bounded(table_calls, sort_ca
     arrays = g.indptr.nbytes + g.indices.nbytes + g.degrees.nbytes + g.node_labels.nbytes
     _, peak = traced_peak(lambda: g.neighbour_degree_sums)
     assert peak <= 0.5 * arrays
+    simple, peak = traced_peak(lambda: build_graph(owned, mode=SIMPLE, overwrite_edges=True))
+    assert len(table_calls) == 3 and simple.edge_count == len(owned)
+    assert peak <= 1.0 * nbytes
+    _, peak = traced_peak(lambda: write_edge_dump(simple, tmp_path / "edges.txt"))
+    assert peak <= 6 * simple.edge_count
