@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import RAW_MULTISET, SIMPLE, Graph, build_graph
+from .graph import RAW_MULTISET, SIMPLE, Graph, _labels, build_graph
 
 MULTIGRAPH = "MULTIGRAPH"
 ERASE = "ERASE"
@@ -211,20 +211,22 @@ def is_graphical(degrees: Sequence[int] | np.ndarray) -> bool:
     Uses the Erdos-Gallai criterion: the degree sum must be even and every
     prefix of the non-increasing sequence must satisfy
     sum(d_1..d_k) <= k(k-1) + sum(min(d_j, k) for j > k).
-    The empty sequence and all-zero sequences are graphical.
+    The empty sequence and all-zero sequences are graphical.  Degrees are
+    checked as in ``first_violated_prefix``.
     """
-    d = np.asarray(degrees, dtype=np.int64)
-    if (d < 0).any():
-        raise ValueError("degrees must be non-negative")
-    return int(d.sum()) % 2 == 0 and first_violated_prefix(d) is None
+    d = _labels(degrees, "degrees")
+    return first_violated_prefix(d) is None and int(d.sum()) % 2 == 0
 
 
 def first_violated_prefix(degrees: Sequence[int] | np.ndarray) -> int | None:
     """Smallest k whose Erdos-Gallai inequality fails, or None.
 
     Parity is not checked here; an odd-sum sequence can still return None.
+    Raises ValueError unless the degrees are non-negative int64 integers.
     """
-    d = np.asarray(degrees, dtype=np.int64)
+    d = _labels(degrees, "degrees")
+    if (d < 0).any():
+        raise ValueError("degrees must be non-negative")
     if d.size == 0:
         return None
     slack = _eg_slack(np.sort(d)[::-1])
@@ -293,15 +295,15 @@ def generate(
     so zero-degree entries become isolated nodes.
 
     Raises ValueError for an unknown policy, ``max_attempts`` below 1, an
-    empty sequence, negative degrees, a degree sum of 2^63 or more, under
-    REJECT a non-graphical sequence (before any matching), or an odd degree
-    sum; RejectionExhaustedError when REJECT runs out of attempts.
+    empty sequence, a degree not a non-negative int64 integer, a sum of 2^63
+    or more, under REJECT a non-graphical sequence (before any matching), or
+    an odd degree sum; RejectionExhaustedError when REJECT runs out of attempts.
     """
     if simple_policy not in SIMPLE_POLICIES:
         raise ValueError(f"unknown simple policy: {simple_policy!r}")
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
-    deg = np.asarray(degrees, dtype=np.int64)
+    deg = _labels(degrees, "degrees")
     if deg.size == 0:
         raise ValueError("degree sequence is empty")
     if (deg < 0).any():

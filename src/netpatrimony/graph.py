@@ -224,12 +224,12 @@ def _first_appearance_by_sort(labels: np.ndarray) -> np.ndarray:
 
 
 def _labels(values, name: str, copy: bool = False) -> np.ndarray:
-    """``values`` as a C-ordered int64 array, read in place when it is one
-    unless ``copy``; ValueError naming ``name`` unless it holds only integers
-    of the int64 range (an empty list, read as float64, holds none)."""
+    """``values`` (labels or degrees) as a C-ordered int64 array, read in place
+    when it is one unless ``copy``; ValueError naming ``name`` unless it holds
+    only integers of the int64 range (an empty list, read as float64, holds none)."""
     arr = np.asarray(values)
     if arr.size and (arr.dtype.kind not in "iu" or arr.dtype.kind == "u" and arr.max() >= 2**63):
-        raise ValueError(f"{name} must be integer labels of the int64 range, got {arr.dtype}")
+        raise ValueError(f"{name} must be integers of the int64 range, got {arr.dtype}")
     return arr.astype(np.int64, order="C", copy=copy)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DegreeStats, Graph
+from .graph import DegreeStats, Graph, _labels
 from .metrics import knn_global
 
 NORMALIZED = "NORMALIZED"
@@ -120,11 +120,12 @@ def classify_performers(
     the class mean, OVER above that band, UNDER below it.  Isolated nodes
     are labelled UNDEFINED.  Returns the labels in node order as int8 codes,
     each the index of its label in ``CLASSES``.  Raises ValueError when the
-    two arrays differ in length or ``tolerance`` is negative or not finite.
+    two arrays differ in length, a degree is not an int64 integer, or
+    ``tolerance`` is negative or not finite.
     """
     check_tolerance(tolerance)
     nip_node = np.asarray(nip_node, dtype=float)
-    degrees = np.asarray(degrees, dtype=np.int64)
+    degrees = _labels(degrees, "degrees")
     if len(nip_node) != len(degrees):
         raise ValueError(
             f"score/degree length mismatch: {len(nip_node)} vs {len(degrees)}"

@@ -137,6 +137,10 @@ def full_cases() -> dict[str, list[str]]:
     cases["report-all-both_modes"] = ["report", *everything, "--both-modes", *OUT]
     cases["report-all-stdout"] = ["report", *everything]
     cases["report-missing-stdout"] = ["report", "missing.txt"]  # exit 3
+    # The --mode row first, then the other; the multigraph's two rows differ.
+    cases["report-multigraph-both_modes_simple"] = [
+        "report", "multigraph.txt", "--both-modes", "--mode", "SIMPLE", *OUT
+    ]
     for spec in SPECS:
         cases[f"congen-{spec}"] = ["congen", f"{spec}.json", *OUT]
     cases["congen-multigraph-seed_9"] = ["congen", "multigraph.json", "--seed", "9", *OUT]

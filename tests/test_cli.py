@@ -158,6 +158,18 @@ def test_rerun_outputs_byte_identical(tmp_path):
     for name in t1:
         if name != "run_config.json":
             assert t1[name] == t2[name], name
+    # The lines reversed number the nodes in another order: the same summary
+    # and class tables, and the same node rows in another order.
+    flipped = tmp_path / "reversed.txt"
+    flipped.write_text("".join(SIX_NODE_FILE.read_text().splitlines(keepends=True)[::-1]))
+    for command, extra in (("knn", []), ("nip", ["--scale", "RAW"])):
+        outs = [tmp_path / f"{command}-{path.stem}" for path in (SIX_NODE_FILE, flipped)]
+        for path, out in zip((SIX_NODE_FILE, flipped), outs):
+            assert main([command, str(path), "--output-dir", str(out), *extra]) == 0
+        for name in ("summary.json", f"{command}_class.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        rows = [read_csv(out / f"{command}_node.csv") for out in outs]
+        assert rows[0] != rows[1] and sorted(rows[0]) == sorted(rows[1])
 
 
 def test_worker_count_does_not_change_output_bytes(tmp_path):
@@ -642,7 +654,7 @@ class TestCongenCommand:
         assert read_json(out / "run_config.json")["seed"] == 9
         assert read_json(out / "meta.json")["spec"]["seed"] == 9
 
-    def test_same_spec_same_bytes(self, tmp_path):
+    def test_same_spec_same_bytes(self, tmp_path, monkeypatch):
         spec = self.write_spec(
             tmp_path,
             {
@@ -658,6 +670,38 @@ class TestCongenCommand:
         assert (out1 / "edges.txt").read_bytes() == (out2 / "edges.txt").read_bytes()
         assert (out1 / "meta.json").read_bytes() == (out2 / "meta.json").read_bytes()
         assert "erased_edges" in read_json(out1 / "meta.json")
+        # Two leading isolated nodes, under every policy: a rerun writes the
+        # same bytes, meta.json counts all 7 nodes and edges.txt holds its m
+        # lines.  REJECT's 6 attempts at seed 0 pin its draw order; ERASE's m
+        # and erased_edges add up to the 6 stub pairs of the degree sum 12.
+        params = {"degrees": [0, 0, 3, 3, 2, 2, 2]}
+        for policy in ("MULTIGRAPH", "ERASE", "REJECT"):
+            spec = self.write_spec(
+                tmp_path, {"source": "EXPLICIT", "params": params, "simple_policy": policy}
+            )
+            outs = [tmp_path / f"{policy}-{run}" for run in ("first", "again")]
+            for out in outs:
+                assert main(["congen", str(spec), "--output-dir", str(out)]) == 0
+            dump, meta = (outs[0] / "edges.txt").read_bytes(), read_json(outs[0] / "meta.json")
+            assert dump == (outs[1] / "edges.txt").read_bytes()
+            assert meta["n"] == 7 and dump.count(b"\n") == meta["m"] > 0
+            assert meta["attempts"] == (6 if policy == "REJECT" else 1)
+            assert meta["m"] + meta.get("erased_edges", 0) == 6
+        # A dump of many row blocks (of 4 entries here) ascends bytewise:
+        # strictly under ERASE, and with the repeated lines of parallel edges
+        # (13 at seed 5) under MULTIGRAPH.
+        monkeypatch.setattr(cli.graph, "_BATCH_BYTES", 32)
+        params = {"exponent": 2.5, "min_degree": 1, "n": 120}
+        for policy in ("ERASE", "MULTIGRAPH"):
+            spec = self.write_spec(
+                tmp_path,
+                {"source": "POWERLAW", "params": params, "seed": 5, "simple_policy": policy},
+            )
+            out = tmp_path / f"blocks-{policy}"
+            assert main(["congen", str(spec), "--output-dir", str(out)]) == 0
+            lines = (out / "edges.txt").read_bytes().splitlines()
+            assert lines == sorted(lines)
+            assert len(set(lines)) == len(lines) - (13 if policy == "MULTIGRAPH" else 0)
 
     def test_non_graphical_reject_fails_fast(self, tmp_path, capsys):
         spec = self.write_spec(
@@ -670,6 +714,7 @@ class TestCongenCommand:
         )
         assert main(["congen", str(spec), "--output-dir", str(tmp_path / "o")]) == 1
         assert "not graphical" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_parity_exhaustion_exits_2(self, tmp_path, capsys):
         spec = self.write_spec(
@@ -766,6 +811,25 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert out.count("six_node") == 2
         assert "SIMPLE" in out
+
+    def test_both_modes_start_with_the_mode_option(self, tmp_path, capsys):
+        """``--both-modes --mode SIMPLE`` writes the SIMPLE row, then the
+        RAW_MULTISET one, each the row ``report --mode <its mode>`` writes
+        alone.  The file's loops and repeated lines make the two rows differ."""
+        edges = tmp_path / "net.txt"
+        write_random_edge_file(edges, 5)
+
+        def report(*options):
+            out = tmp_path / "-".join(options)
+            assert main(["report", str(edges), *options, "--output-dir", str(out)]) == 0
+            return read_csv(out / "report.csv")
+
+        header, *rows = report("--both-modes", "--mode", SIMPLE)
+        assert [dict(zip(header, row))["mode"] for row in rows] == [SIMPLE, RAW_MULTISET]
+        assert rows[0][3:] != rows[1][3:]
+        for row, mode in zip(rows, (SIMPLE, RAW_MULTISET)):
+            assert report("--mode", mode) == [header, row]
+        capsys.readouterr()
 
     def test_edgeless_graph_gets_a_no_edges_row(self, tmp_path, capsys):
         """A file of self-loops has no SIMPLE edges: that row keeps its size

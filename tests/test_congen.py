@@ -53,6 +53,22 @@ class TestGraphical:
         assert first_violated_prefix([4, 3, 3, 2, 2, 2]) is None
         assert first_violated_prefix([5, 1, 1]) == 1
 
+    def test_first_violated_prefix_refuses_a_negative_degree(self):
+        with pytest.raises(ValueError, match="^degrees must be non-negative$"):
+            first_violated_prefix([2, -2])
+
+    @pytest.mark.parametrize("read", [is_graphical, first_violated_prefix, generate])
+    @pytest.mark.parametrize(
+        "degrees",
+        [[1.5, 1.5], [2.0, 2.0], ["2", "2"], [True, True], [2**63, 1]],
+        ids=["fraction", "integral-float", "str", "bool", "2**63"],
+    )
+    def test_non_integer_degrees_rejected(self, read, degrees):
+        """Each reader of a degree sequence refuses what ``build_graph``
+        refuses as a label, instead of truncating or parsing it."""
+        with pytest.raises(ValueError, match="^degrees must be integers of the int64 range"):
+            read(degrees)
+
     def test_matches_enumeration_on_sampled_sequences(self):
         realizable = oracles.realizable_sequences(max_len=5, max_degree=4)
         rng = np.random.default_rng(12)

@@ -389,7 +389,7 @@ def test_empty_edges_require_nodes():
     ],
 )
 def test_non_integer_labels_rejected(edges, nodes, name):
-    with pytest.raises(ValueError, match=f"^{name} must be integer labels"):
+    with pytest.raises(ValueError, match=f"^{name} must be integers of the int64 range"):
         build_graph(edges, nodes=nodes)
 
 

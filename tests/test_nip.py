@@ -193,6 +193,10 @@ class TestClassify:
         )
         assert labels(codes) == [AT_PAR, OVER, UNDER]
 
+    def test_non_integer_degrees_rejected(self):
+        with pytest.raises(ValueError, match="^degrees must be integers of the int64 range"):
+            classify_performers([0.5, 0.5], {1: 0.5}, [1.7, 1.2])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             classify_performers(np.array([1.0]), {1: 1.0}, np.array([1, 1]))
